@@ -627,7 +627,8 @@ func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts []int, op *Op, 
 
 // ---------------------------------------------------------------------
 // Entry points. Every collective has a nonblocking I* form returning a
-// *Request and a blocking form that runs the identical schedule inline.
+// *Request and a blocking form that runs the identical schedule on the
+// calling goroutine.
 // ---------------------------------------------------------------------
 
 // Ibarrier starts a nonblocking barrier: the returned request completes
@@ -642,7 +643,7 @@ func (c *Comm) Ibarrier() *Request {
 func (c *Comm) Barrier() error {
 	s := c.newSched()
 	c.addBarrierSteps(s)
-	_, err := s.runInline()
+	_, err := s.runBlocking()
 	return err
 }
 
@@ -674,7 +675,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runInline()
+	res, err := s.runBlocking()
 	if err != nil {
 		return nil, err
 	}
@@ -710,7 +711,7 @@ func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runInline()
+	res, err := s.runBlocking()
 	if err != nil {
 		return nil, err
 	}
@@ -751,7 +752,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runInline()
+	res, err := s.runBlocking()
 	if err != nil {
 		return nil, err
 	}
@@ -775,7 +776,7 @@ func (c *Comm) Iallgather(mine []byte) *Request {
 
 // Allgather collects every member's block at every member.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	res, err := c.allgatherSched(mine).runInline()
+	res, err := c.allgatherSched(mine).runBlocking()
 	if err != nil {
 		return nil, err
 	}
@@ -810,7 +811,7 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runInline()
+	res, err := s.runBlocking()
 	if err != nil {
 		return nil, err
 	}
@@ -846,7 +847,7 @@ func (c *Comm) Reduce(root int, mine any, op *Op) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.runInline()
+	return s.runBlocking()
 }
 
 func (c *Comm) allreduceSched(mine any, op *Op) *sched {
@@ -867,7 +868,7 @@ func (c *Comm) Iallreduce(mine any, op *Op) *Request {
 // Allreduce folds every member's dense slice with op and returns the
 // result at every member.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
-	return c.allreduceSched(mine, op).runInline()
+	return c.allreduceSched(mine, op).runBlocking()
 }
 
 func (c *Comm) scanSched(family int, exclusive bool, mine any, op *Op) *sched {
@@ -888,7 +889,7 @@ func (c *Comm) Iscan(mine any, op *Op) *Request {
 // Scan computes the inclusive prefix reduction in rank order along a
 // chain.
 func (c *Comm) Scan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagScan, false, mine, op).runInline()
+	return c.scanSched(tagScan, false, mine, op).runBlocking()
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction in rank
@@ -901,7 +902,7 @@ func (c *Comm) Iexscan(mine any, op *Op) *Request {
 // Exscan computes the exclusive prefix reduction in rank order (the
 // MPI-2 extension the paper's §5.3 targets).
 func (c *Comm) Exscan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagExscan, true, mine, op).runInline()
+	return c.scanSched(tagExscan, true, mine, op).runBlocking()
 }
 
 func (c *Comm) reduceScatterSched(mine any, counts []int, op *Op) (*sched, error) {
@@ -933,7 +934,7 @@ func (c *Comm) ReduceScatter(mine any, counts []int, op *Op) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.runInline()
+	return s.runBlocking()
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

@@ -14,8 +14,8 @@ import (
 type commObs struct {
 	once    sync.Once
 	started *obs.Counter // schedule activations armed
-	parked  *obs.Counter // times a schedule gave its worker back
-	resumed *obs.Counter // times a parked schedule was re-enqueued
+	parked  *obs.Counter // times a schedule parked (pool worker or blocking caller)
+	resumed *obs.Counter // times a parked schedule was made runnable again
 	schedNs *obs.Timing  // activation wall time, arm to finish
 }
 

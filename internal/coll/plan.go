@@ -43,7 +43,7 @@ func (p *Plan) nextFam() int {
 }
 
 // Step appends a local compute step. Steps run in order on the
-// schedule's executor (the caller for Run, the runner goroutine for
+// schedule's executor (the caller for Run, a progress pool worker for
 // Start); an error aborts the schedule.
 func (p *Plan) Step(fn func() error) { p.s.step(fn) }
 
@@ -71,11 +71,11 @@ func (p *Plan) Allgather(mine []byte, out *[][]byte) {
 // what Run returns and what a started Request completes with.
 func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 
-// Run executes the composed schedule inline to completion on the
-// calling goroutine (the blocking form).
-func (p *Plan) Run() (any, error) { return p.s.runInline() }
+// Run executes the composed schedule to completion on the calling
+// goroutine (the blocking form).
+func (p *Plan) Run() (any, error) { return p.s.runBlocking() }
 
-// Start launches the composed schedule on its own progress goroutine
-// and returns its request (the nonblocking form), with cancellation
-// points at every exchange wait.
+// Start launches the composed schedule on the shared progress pool and
+// returns its request (the nonblocking form), with cancellation points
+// at every exchange wait.
 func (p *Plan) Start() *Request { return p.s.start() }

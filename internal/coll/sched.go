@@ -23,8 +23,8 @@ var ErrActive = errors.New("coll: previous activation still in progress")
 // exactly once, with the algorithm's result (shape depends on the
 // collective) or an error; Wait, Test and WaitCtx may be called from any
 // goroutine, concurrently. Requests handed out by the nonblocking entry
-// points always carry their channels; schedules run inline keep them
-// nil and never escape.
+// points always carry their channels; schedules run by a blocking caller
+// keep them nil and never escape.
 type Request struct {
 	done     chan struct{}
 	cancelCh chan struct{}
@@ -130,9 +130,10 @@ type step struct {
 // algorithm compiled into, the progress state they share, and the sends
 // still in flight. A schedule is built synchronously inside the
 // collective call (so tag allocation happens in program order on every
-// member) and then executed either inline (blocking entry points) or on
-// the shared progress pool (nonblocking and persistent entry points),
-// parking — not blocking a worker — whenever it waits for a message.
+// member) and then executed by run — on the calling goroutine for the
+// blocking entry points, on the shared progress pool for the nonblocking
+// and persistent ones — parking, not blocking its executor, whenever it
+// waits for a message.
 type sched struct {
 	c      *Comm
 	inst   uint32 // this collective instance's sequence number
@@ -143,15 +144,22 @@ type sched struct {
 	pend   []*core.Request // outstanding isends, drained at the end
 	res    any             // published to req on successful completion
 
-	// Parking state. While the schedule is parked on the pool, gated
-	// holds the incomplete operations it waits for (guarded by gmu, so a
+	// Parking state. While the schedule is parked, gated holds the
+	// incomplete operations it waits for (guarded by gmu, so a
 	// cancelling goroutine can poke them without racing the executor)
 	// and waits counts the completions still owed before the schedule
-	// becomes runnable again.
+	// becomes runnable again. gated is built in gbuf, so a park
+	// allocates nothing.
 	gmu   sync.Mutex
 	gated []*core.Request
+	gbuf  [4]*core.Request
 	waits atomic.Int32
-	wake  func() // bound once; decrements waits, enqueues at zero
+	wake  func() // bound once; decrements waits, resumes at zero
+
+	// resume is the blocking caller's wake-up channel (nil for pooled
+	// schedules): a resumed schedule signals it instead of enqueueing on
+	// the pool, and the caller runs the schedule on.
+	resume chan struct{}
 
 	// t0 is the activation's arm time, feeding the "coll.sched_ns"
 	// timing variable on finish.
@@ -161,20 +169,24 @@ type sched struct {
 // newSched builds an empty schedule and mints its instance number —
 // unconditionally, before any validation, so the sequence advances by
 // exactly one per collective call on every member regardless of local
-// outcomes. The request's channels stay nil until start(): the blocking
-// entry points run inline, never select on them, and a nil cancelCh
-// behaves like "never cancelled" in both cancellation points — so a
-// blocking collective pays no channel allocations.
+// outcomes. The request's channels stay nil until start(): blocking
+// callers never select on them, and a nil cancelCh behaves like "never
+// cancelled" — so a blocking collective pays no channel allocations.
 func (c *Comm) newSched() *sched {
 	s := &sched{c: c, inst: c.seq.Add(1) - 1}
 	s.req = &Request{s: s}
 	s.wake = func() {
 		// Runs under the engine lock (completion callback); counter
-		// bump and trace record are single atomic operations.
+		// bump and trace record are single atomic operations, and
+		// neither the one-slot send nor enqueue blocks.
 		if s.waits.Add(-1) == 0 {
 			s.c.vars().resumed.Inc()
 			s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, int64(sharedPool.busy.Load()))
-			sharedPool.enqueue(s)
+			if s.resume != nil {
+				s.resume <- struct{}{}
+			} else {
+				sharedPool.enqueue(s)
+			}
 		}
 	}
 	return s
@@ -198,7 +210,7 @@ func (s *sched) onReset(fn func()) { s.resets = append(s.resets, fn) }
 
 // arm runs the registered resets, initializing the activation's state.
 // Every activation passes through here exactly once — one-shot or
-// persistent, inline or pooled — so it is also where the activation's
+// persistent, blocking or pooled — so it is also where the activation's
 // span opens.
 func (s *sched) arm() {
 	for _, fn := range s.resets {
@@ -311,51 +323,31 @@ func (s *sched) start() *Request {
 	return s.req
 }
 
-// runInline executes the schedule to completion on the calling goroutine
-// (the blocking entry points: same schedule, no pool handoff), blocking
-// at each gate instead of parking. With the pool forced (GOMPI_COLL_POOL
-// =force), blocking entry points run through the pool too, exercising
-// the park/resume machinery under every collective test.
-func (s *sched) runInline() (any, error) {
-	if forcePool {
-		s.req.done = make(chan struct{})
-		s.req.cancelCh = make(chan struct{})
-		s.arm()
-		sharedPool.enqueue(s)
-		return s.req.Wait()
-	}
+// resumeChans recycles the blocking callers' one-slot resume channels,
+// keeping the blocking entry points allocation-free.
+var resumeChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// runBlocking executes the schedule to completion on the calling
+// goroutine (the blocking entry points). The caller is the schedule's
+// executor: it runs the same loop a pool worker does, and while the
+// schedule is parked it sleeps on its resume channel, which the wake-up
+// signals instead of enqueueing on the pool.
+func (s *sched) runBlocking() (any, error) {
+	s.resume = resumeChans.Get().(chan struct{})
 	s.arm()
-	for s.pc < len(s.steps) {
-		if s.cancelled() {
-			s.fail(ErrCancelled)
-			return nil, s.req.err
-		}
-		st := s.steps[s.pc]
-		if st.gate != nil && st.gate.req != nil {
-			if err := s.await(st.gate.req); err != nil {
-				s.fail(err)
-				return nil, s.req.err
-			}
-		}
-		if err := st.run(); err != nil {
-			s.fail(err)
-			return nil, s.req.err
-		}
-		s.pc++
+	for !s.run() {
+		<-s.resume
 	}
-	if err := s.drainInline(); err != nil {
-		s.fail(err)
-		return nil, s.req.err
-	}
-	s.finish(nil)
+	resumeChans.Put(s.resume)
 	return s.req.res, s.req.err
 }
 
-// run executes the schedule on a pool worker until it completes or
-// parks. A parked schedule is re-enqueued by the completion callback of
-// the last operation it gates on; run then resumes at the same program
-// counter.
-func (s *sched) run() {
+// run executes the schedule until it finishes or parks, reporting true
+// when the activation has finished (successfully or not). A parked
+// schedule is resumed by the completion callback of the last operation
+// it gates on; its executor then calls run again, which continues at
+// the same program counter.
+func (s *sched) run() bool {
 	// The previous park's gate list is stale the moment we are running
 	// again; clear it before any gated request can be consumed, so a
 	// concurrent canceller never pokes a recycled request.
@@ -365,34 +357,34 @@ func (s *sched) run() {
 	for {
 		if s.cancelled() {
 			s.fail(ErrCancelled)
-			return
+			return true
 		}
 		if s.pc < len(s.steps) {
 			st := s.steps[s.pc]
 			if st.gate != nil && st.gate.req != nil {
 				if _, done := st.gate.req.Test(); !done {
-					if s.park(st.gate.req) {
-						return
+					if s.park(append(s.gbuf[:0], st.gate.req)) {
+						return false
 					}
 				}
 			}
 			if err := st.run(); err != nil {
 				s.fail(err)
-				return
+				return true
 			}
 			s.pc++
 			continue
 		}
 		// Steps exhausted: drain the outstanding sends.
-		var waitFor []*core.Request
+		waitFor := s.gbuf[:0]
 		for _, r := range s.pend {
 			if _, done := r.Test(); !done {
 				waitFor = append(waitFor, r)
 			}
 		}
 		if len(waitFor) > 0 {
-			if s.park(waitFor...) {
-				return
+			if s.park(waitFor) {
+				return false
 			}
 			continue // completed while parking; re-check from the top
 		}
@@ -406,21 +398,21 @@ func (s *sched) run() {
 		s.pend = nil
 		if err != nil {
 			s.fail(err)
-			return
+			return true
 		}
 		s.finish(nil)
-		return
+		return true
 	}
 }
 
 // park suspends the schedule until every request in reqs has completed.
 // It returns true when the schedule is genuinely parked — the executor
-// must return, and the last completion callback re-enqueues the
-// schedule — or false when everything completed while parking, in which
-// case the executor just continues. The +1 guard below makes the
-// resume decision race-free: the callbacks and the final Add together
-// reach zero exactly once, wherever the completions land.
-func (s *sched) park(reqs ...*core.Request) bool {
+// must return, and the last completion callback resumes the schedule —
+// or false when everything completed while parking, in which case the
+// executor just continues. The +1 guard below makes the resume decision
+// race-free: the callbacks and the final Add together reach zero
+// exactly once, wherever the completions land.
+func (s *sched) park(reqs []*core.Request) bool {
 	s.gmu.Lock()
 	s.gated = reqs
 	s.gmu.Unlock()
@@ -517,32 +509,6 @@ func (s *sched) abortGate() {
 	}
 }
 
-// await blocks until r completes or the schedule is cancelled — the
-// inline executor's cancellation point. On cancellation it revokes r
-// when the engine still can (an unmatched receive); an operation past
-// that point is consumed so the engine's bookkeeping stays balanced,
-// but the wait still reports cancellation: the schedule is being torn
-// down.
-func (s *sched) await(r *core.Request) error {
-	if _, done := r.Test(); done {
-		return nil
-	}
-	if s.req.cancelCh == nil {
-		r.Wait()
-		return nil
-	}
-	done := r.Done()
-	select {
-	case <-done:
-		return nil
-	case <-s.req.cancelCh:
-	}
-	if !s.c.P.Cancel(r) {
-		<-done
-	}
-	return ErrCancelled
-}
-
 // isend posts a standard-mode send on the schedule's context and tracks
 // it for the completion drain. Collective payloads never carry the
 // exclusive-ownership recycle promise: algorithms fan one buffer out to
@@ -553,26 +519,6 @@ func (s *sched) isend(dst, tag int, b []byte) error {
 		return err
 	}
 	s.pend = append(s.pend, req)
-	return nil
-}
-
-// drainInline waits (cancellably) for the schedule's outstanding sends
-// and recycles their requests (the inline executor's drain; the pooled
-// executor parks on them instead).
-func (s *sched) drainInline() error {
-	for i, r := range s.pend {
-		err := s.await(r)
-		if err == nil && r.Stat.Err != nil {
-			err = r.Stat.Err // send completed with a failure (peer loss, revocation)
-		}
-		if err != nil {
-			r.Recycle()
-			s.pend = s.pend[i+1:]
-			return err
-		}
-		r.Recycle()
-	}
-	s.pend = nil
 	return nil
 }
 

@@ -312,3 +312,50 @@ func TestBlockingUnaffectedByCancelledNeighbour(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockingCollectiveParksOnCaller: a blocking collective whose peer
+// enters late parks on its caller instead of blocking it on the gated
+// receive, and the late message's completion resumes it — the same
+// park/resume path, counted by the same counters, as a pooled schedule.
+func TestBlockingCollectiveParksOnCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(c *Comm) error
+	}{
+		{"Allreduce", func(c *Comm) error {
+			res, err := c.Allreduce([]int64{int64(c.Rank) + 1}, Sum)
+			if err != nil {
+				return err
+			}
+			if got := res.([]int64)[0]; got != 3 {
+				return fmt.Errorf("allreduce = %d, want 3", got)
+			}
+			return nil
+		}},
+		{"Barrier", func(c *Comm) error { return c.Barrier() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runGroup(t, 2, func(c *Comm) (any, error) {
+				c.Warm()
+				reg := c.P.Obs()
+				parked0, _ := reg.Value("coll.scheds_parked")
+				resumed0, _ := reg.Value("coll.scheds_resumed")
+				if c.Rank == 1 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				if err := tc.call(c); err != nil {
+					return nil, err
+				}
+				if c.Rank == 0 {
+					parked, _ := reg.Value("coll.scheds_parked")
+					resumed, _ := reg.Value("coll.scheds_resumed")
+					if parked == parked0 || resumed == resumed0 {
+						return nil, fmt.Errorf("early rank: parked %d→%d, resumed %d→%d; want both to advance",
+							parked0, parked, resumed0, resumed)
+					}
+				}
+				return nil, nil
+			})
+		})
+	}
+}

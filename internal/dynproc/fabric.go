@@ -1,11 +1,8 @@
 package dynproc
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,44 +12,16 @@ import (
 	"gompi/internal/transport"
 )
 
-// linkWriterSize matches the tcp device's per-peer staging buffer: one
-// buffered write coalesces length prefix, header and small payload.
-const linkWriterSize = 16 << 10
-
 // link is one admitted dynamic peer: a single TCP connection carrying
-// length-prefixed frames, exactly the tcp device's wire framing.
+// exactly the tcp device's wire framing.
 type link struct {
-	mu   sync.Mutex // serializes frame writes
-	c    net.Conn
-	w    *bufio.Writer
+	*transport.FramedConn
 	guid string
 	dead atomic.Bool
 }
 
 func newLink(c net.Conn, guid string) *link {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	return &link{c: c, w: bufio.NewWriterSize(c, linkWriterSize), guid: guid}
-}
-
-func (l *link) writeFrame(hdr, payload []byte) error {
-	var lp [4]byte
-	binary.LittleEndian.PutUint32(lp[:], uint32(len(hdr)+len(payload)))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.w.Write(lp[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := l.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return l.w.Flush()
+	return &link{FramedConn: transport.NewFramedConn(c), guid: guid}
 }
 
 // Fabric is the dynamic-process device decorator. Ranks below baseSize
@@ -175,7 +144,7 @@ func (f *Fabric) Send(dst int, frame []byte) error {
 	if l.dead.Load() {
 		return &transport.PeerLostError{Peer: dst}
 	}
-	if err := l.writeFrame(frame, nil); err != nil {
+	if err := l.WriteFrame(frame, nil); err != nil {
 		return &transport.PeerLostError{Peer: dst, Err: err}
 	}
 	f.countSend(len(frame))
@@ -202,7 +171,7 @@ func (f *Fabric) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 		release()
 		return &transport.PeerLostError{Peer: dst}
 	}
-	err := l.writeFrame(hdr, payload)
+	err := l.WriteFrame(hdr, payload)
 	n := len(hdr) + len(payload)
 	release()
 	if err != nil {
@@ -291,16 +260,9 @@ func (f *Fabric) pump() {
 // so envelope matching and reply routing see a coherent local world.
 func (f *Fabric) readLoop(idx int, l *link) {
 	defer f.wg.Done()
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(l.c, hdr[:]); err != nil {
-			f.linkLost(idx, l, err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		buf := transport.GetBuf(int(n))
-		if _, err := io.ReadFull(l.c, buf); err != nil {
-			transport.PutBuf(buf)
+		buf, err := l.ReadFrame()
+		if err != nil {
 			f.linkLost(idx, l, err)
 			return
 		}
@@ -309,7 +271,7 @@ func (f *Fabric) readLoop(idx int, l *link) {
 			f.linkLost(idx, l, err)
 			return
 		}
-		f.countRecv(int(n))
+		f.countRecv(len(buf))
 		select {
 		case f.inbox <- transport.PooledFrame(buf, nil, true, false):
 		case <-f.done:
@@ -325,7 +287,7 @@ func (f *Fabric) linkLost(idx int, l *link, err error) {
 	if l.dead.Swap(true) {
 		return
 	}
-	l.c.Close()
+	l.Close()
 	select {
 	case <-f.done:
 		return
@@ -387,7 +349,7 @@ func (f *Fabric) Close() error {
 		}
 		for _, l := range peers {
 			l.dead.Store(true)
-			l.c.Close()
+			l.Close()
 		}
 		f.base.Close()
 		f.wg.Wait()

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ import (
 // TCP's byte-stream ordering plus a per-connection writer lock.
 type TCPDevice struct {
 	rank, size int
-	peers      []*peerConn // indexed by rank; nil at own rank
+	peers      []*FramedConn // indexed by rank; nil at own rank
 	ln         net.Listener
 	ownsLn     bool
 
@@ -31,44 +30,6 @@ type TCPDevice struct {
 	readers   sync.WaitGroup
 
 	devCounters
-}
-
-// peerWriterSize is the per-peer staging buffer: a length prefix, header
-// and small payload coalesce into one buffered write and flush as a
-// single syscall, while writes larger than the buffer stream through
-// bufio's large-write bypass without an extra copy.
-const peerWriterSize = 16 << 10
-
-type peerConn struct {
-	mu sync.Mutex // serializes frame writes
-	c  net.Conn
-	w  *bufio.Writer
-}
-
-func newPeerConn(c net.Conn) *peerConn {
-	return &peerConn{c: c, w: bufio.NewWriterSize(c, peerWriterSize)}
-}
-
-// writeFrame writes one length-prefixed frame as the gather of hdr and
-// payload through the peer's buffered writer, flushing before return so
-// no progress logic is needed to push stragglers out.
-func (p *peerConn) writeFrame(hdr, payload []byte) error {
-	var lp [4]byte
-	binary.LittleEndian.PutUint32(lp[:], uint32(len(hdr)+len(payload)))
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, err := p.w.Write(lp[:]); err != nil {
-		return err
-	}
-	if _, err := p.w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := p.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return p.w.Flush()
 }
 
 const meshMagic = 0x6d706a31 // "mpj1"
@@ -95,7 +56,7 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 	d := &TCPDevice{
 		rank:   rank,
 		size:   size,
-		peers:  make([]*peerConn, size),
+		peers:  make([]*FramedConn, size),
 		ln:     ln,
 		ownsLn: ownsListener,
 		inbox:  make(chan Frame, DefaultInboxDepth),
@@ -112,7 +73,7 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 			d.Close()
 			return nil, fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, j, err)
 		}
-		d.peers[j] = newPeerConn(c)
+		d.peers[j] = NewFramedConn(c)
 	}
 	// Accept higher ranks.
 	need := 0
@@ -132,12 +93,12 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 			d.Close()
 			return nil, fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer)
 		}
-		d.peers[peer] = newPeerConn(c)
+		d.peers[peer] = NewFramedConn(c)
 	}
 	for r, p := range d.peers {
 		if p != nil {
 			d.readers.Add(1)
-			go d.readLoop(r, p.c)
+			go d.readLoop(r, p)
 		}
 	}
 	return d, nil
@@ -158,7 +119,6 @@ func dialPeer(addr string, myRank int) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuneConn(c)
 	var hs [8]byte
 	binary.LittleEndian.PutUint32(hs[0:], meshMagic)
 	binary.LittleEndian.PutUint32(hs[4:], uint32(myRank))
@@ -174,7 +134,6 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	tuneConn(c)
 	var hs [8]byte
 	if _, err := io.ReadFull(c, hs[:]); err != nil {
 		c.Close()
@@ -185,12 +144,6 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 		return nil, 0, fmt.Errorf("bad mesh handshake magic")
 	}
 	return c, int(binary.LittleEndian.Uint32(hs[4:])), nil
-}
-
-func tuneConn(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // latency matters more than throughput here
-	}
 }
 
 // NewLoopbackJob creates an n-rank DM-mode job entirely in-process over
@@ -254,7 +207,7 @@ func (d *TCPDevice) Send(dst int, frame []byte) error {
 	if p == nil {
 		return ErrClosed
 	}
-	if err := p.writeFrame(frame, nil); err != nil {
+	if err := p.WriteFrame(frame, nil); err != nil {
 		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
 	}
 	d.countSend(len(frame))
@@ -284,7 +237,7 @@ func (d *TCPDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 		}
 		return ErrClosed
 	}
-	err := p.writeFrame(hdr, payload)
+	err := p.WriteFrame(hdr, payload)
 	n := len(hdr) + len(payload)
 	PutBuf(hdr)
 	if recycle {
@@ -351,24 +304,18 @@ func (d *TCPDevice) peerLost(peer int, err error) {
 	}
 }
 
-func (d *TCPDevice) readLoop(peer int, c net.Conn) {
+func (d *TCPDevice) readLoop(peer int, p *FramedConn) {
 	defer d.readers.Done()
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			d.peerLost(peer, err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		// Stage the whole frame in one pooled buffer; the engine
+		// The whole frame is staged in one pooled buffer; the engine
 		// parses the header in place and hands the payload tail to the
 		// matching receive without another copy.
-		frame := GetBuf(int(n))
-		if _, err := io.ReadFull(c, frame); err != nil {
+		frame, err := p.ReadFrame()
+		if err != nil {
 			d.peerLost(peer, err)
 			return
 		}
-		d.countRecv(int(n))
+		d.countRecv(len(frame))
 		select {
 		case d.inbox <- Frame{Data: frame, pooledData: true}:
 		case <-d.done:
@@ -386,8 +333,8 @@ func (d *TCPDevice) Close() error {
 			d.ln.Close()
 		}
 		for _, p := range d.peers {
-			if p != nil && p.c != nil {
-				p.c.Close()
+			if p != nil {
+				p.Close()
 			}
 		}
 	})

@@ -4,7 +4,7 @@
 //
 //	MPI (module)  -> package mpi + the per-rank *Env handle
 //	Comm          -> Comm, with Intracomm, Intercomm, Cartcomm, Graphcomm
-//	Group, Datatype, Status, Request, Prequest, Op -> same-named types
+//	Group, Datatype, Status, Request, Op -> same-named types
 //
 // Communication calls keep the binding's (buf, offset, count, datatype,
 // rank, tag) signatures over one-dimensional slices of primitive types.
@@ -205,8 +205,9 @@ type EngineStats struct {
 	PoolHitRate                      float64
 
 	// Collective-layer counters (this rank): schedule activations, and
-	// how often the progress-pool executor parked a schedule waiting
-	// for a message versus re-enqueued one whose wait completed.
+	// how often a schedule's executor (a pool worker or a blocking
+	// caller) parked it waiting for a message versus resumed it once
+	// the wait completed.
 	CollSchedsStarted uint64
 	CollSchedsParked  uint64
 	CollSchedsResumed uint64

@@ -18,8 +18,8 @@ import (
 // (MPI-3 nonblocking collectives), the *Ctx variant that waits under a
 // context.Context with cancellation points inside the algorithm, and
 // the classic blocking form — semantically the *Ctx form under
-// context.Background(), executed inline on the caller's goroutine so a
-// blocking collective pays no runner-goroutine or channel overhead.
+// context.Background(), executed on the caller's goroutine so a
+// blocking collective pays no pool handoff or channel overhead.
 type Intracomm struct {
 	Comm
 }
@@ -49,8 +49,8 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 
 // collPlan is one collective call, prepared (validated and packed) but
 // not yet run: the shared substance behind the blocking, *Ctx and I*
-// entry points. run executes the schedule inline on the caller's
-// goroutine; irun starts it on its own runner; fin deposits the result
+// entry points. run executes the schedule on the caller's goroutine;
+// irun starts it on the shared progress pool; fin deposits the result
 // into the caller's receive buffers at completion (nil when this rank
 // receives nothing).
 type collPlan struct {
@@ -59,7 +59,7 @@ type collPlan struct {
 	fin  func(res any) error
 }
 
-// runColl drives a prepared plan to completion inline: the blocking
+// runColl drives a prepared plan to completion on the caller: the blocking
 // entry points. A plan that failed local validation never reaches the
 // schedule layer, so the collective's instance number is skipped to
 // stay tag-aligned with members whose matching call proceeded.
@@ -78,7 +78,7 @@ func (c *Intracomm) runColl(p collPlan, err error) error {
 	return nil
 }
 
-// startColl launches a prepared plan on its own schedule runner: the
+// startColl launches a prepared plan on the shared progress pool: the
 // nonblocking entry points. Like runColl, a plan-level failure skips
 // the collective's instance number.
 func (c *Intracomm) startColl(p collPlan, err error) (*CollRequest, error) {
