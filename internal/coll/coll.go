@@ -24,9 +24,9 @@ type Comm struct {
 	World func(groupRank int) int
 
 	// seq numbers the collective instances started on this
-	// communicator: exactly one per collective call, minted at
-	// schedule-creation time, synchronously inside the call and before
-	// any validation. Every member starts collectives in the same
+	// communicator: exactly one per collective call, minted
+	// synchronously inside the call whether it compiles a schedule,
+	// re-runs a cached one or fails validation. Every member starts collectives in the same
 	// order, so the sequence-derived tags agree across ranks.
 	seq atomic.Uint32
 
@@ -41,6 +41,10 @@ type Comm struct {
 	// obs caches this communicator's performance-variable handles
 	// (see obs.go); the zero value resolves lazily on first use.
 	obs commObs
+
+	// slots caches one compiled schedule per blocking collective kind
+	// (see cache.go); the zero value is an empty cache.
+	slots [numKinds]slot
 }
 
 // Internal tag families, one per collective family, in the low
@@ -82,7 +86,7 @@ const (
 // collective. Callers that abort a collective before building its
 // schedule (local argument errors in the binding layer) use it to stay
 // tag-aligned with members whose matching call proceeded.
-func (c *Comm) SkipInstance() { c.seq.Add(1) }
+func (c *Comm) SkipInstance() { c.mint() }
 
 // rel maps a group rank to its rank relative to root; unrel inverts it.
 func rel(rank, root, size int) int { return (rank - root + size) % size }
@@ -108,26 +112,27 @@ func topMask(size int) int {
 
 // ---------------------------------------------------------------------
 // Schedule builders. Each appends one algorithm's steps to a schedule,
-// allocating its instance tags as it goes; composed collectives
-// (allreduce over reduce+bcast, reduce-scatter over reduce+scatter)
-// chain builders, threading mid-schedule values through pointers.
+// naming only tag families (the send and receive posts form the
+// matching tag from the running activation's instance); composed
+// collectives (allreduce over reduce+bcast, reduce-scatter over
+// reduce+scatter) chain builders, threading mid-schedule values through
+// pointers.
 //
-// Two conventions make the schedules pool- and persistent-ready: waits
+// Two conventions make the schedules pool-ready and re-runnable: waits
 // for messages go through recvStep/exchStep (post step + gated consume
 // step — the executor parks rather than blocks), and every piece of
 // mutable per-activation state is initialized in an onReset hook rather
 // than at build time, so a persistent schedule re-arms cleanly on each
-// Start.
+// Start and a cached blocking schedule on each call.
 // ---------------------------------------------------------------------
 
 // addBarrierSteps schedules the dissemination barrier: ⌈log2 p⌉ rounds
 // of shifted token exchanges.
 func (c *Comm) addBarrierSteps(s *sched) {
-	tag := s.tag(tagBarrier)
 	for k := 1; k < c.Size; k <<= 1 {
 		dst := (c.Rank + k) % c.Size
 		src := (c.Rank - k + c.Size) % c.Size
-		s.exchStep(dst, src, tag,
+		s.exchStep(dst, src, tagBarrier,
 			func() ([]byte, error) { return nil, nil },
 			func([]byte) error { return nil })
 	}
@@ -136,12 +141,11 @@ func (c *Comm) addBarrierSteps(s *sched) {
 // addBcastSteps schedules a binomial-tree broadcast: at completion
 // *data holds root's payload on every member.
 func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
-	tag := s.tag(tagBcast)
 	vr := rel(c.Rank, root, c.Size)
 	start := topMask(c.Size) >> 1
 	if vr != 0 {
 		low := vr & -vr // subtree parent sits at the lowest set bit
-		s.recvStep(unrel(vr-low, root, c.Size), tag, func(got []byte) error {
+		s.recvStep(unrel(vr-low, root, c.Size), tagBcast, func(got []byte) error {
 			*data = got
 			return nil
 		})
@@ -153,7 +157,7 @@ func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
 		}
 		mask := mask
 		s.step(func() error {
-			return s.isend(unrel(vr+mask, root, c.Size), tag, *data)
+			return s.isend(unrel(vr+mask, root, c.Size), tagBcast, *data)
 		})
 	}
 }
@@ -200,7 +204,6 @@ func decodeBundle(data []byte, into map[int][]byte) error {
 // block (*mine) toward root; at completion *out (root only) holds the
 // blocks indexed by group rank.
 func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
-	tag := s.tag(tagGather)
 	vr := rel(c.Rank, root, c.Size)
 	var have map[int][]byte
 	s.onReset(func() { have = make(map[int][]byte) })
@@ -209,12 +212,12 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 		mask := mask
 		if vr&mask != 0 {
 			s.step(func() error {
-				return s.isend(unrel(vr-mask, root, c.Size), tag, encodeBundle(have))
+				return s.isend(unrel(vr-mask, root, c.Size), tagGather, encodeBundle(have))
 			})
 			return // subtree forwarded; this member is done
 		}
 		if vr+mask < c.Size {
-			s.recvStep(unrel(vr+mask, root, c.Size), tag, func(got []byte) error {
+			s.recvStep(unrel(vr+mask, root, c.Size), tagGather, func(got []byte) error {
 				return decodeBundle(got, have)
 			})
 		}
@@ -237,7 +240,6 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 // root's parts length at build time; composed schedules construct
 // *parts mid-run, so the root step re-checks.
 func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
-	tag := s.tag(tagScatter)
 	vr := rel(c.Rank, root, c.Size)
 	var have map[int][]byte
 	s.onReset(func() { have = make(map[int][]byte) })
@@ -255,7 +257,7 @@ func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte)
 		start = topMask(c.Size) >> 1
 	} else {
 		low := vr & -vr
-		s.recvStep(unrel(vr-low, root, c.Size), tag, func(got []byte) error {
+		s.recvStep(unrel(vr-low, root, c.Size), tagScatter, func(got []byte) error {
 			return decodeBundle(got, have)
 		})
 		start = low >> 1
@@ -277,24 +279,17 @@ func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte)
 					delete(have, v)
 				}
 			}
-			return s.isend(unrel(vr+mask, root, c.Size), tag, encodeBundle(sub))
+			return s.isend(unrel(vr+mask, root, c.Size), tagScatter, encodeBundle(sub))
 		})
 	}
 	s.step(func() error { *out = have[vr]; return nil })
 }
 
-// addAllgatherSteps schedules the ring allgather (p-1 shifted steps);
-// at completion *out holds every member's block (*mine is re-read each
-// activation). Blocks may differ in size, so this also serves
-// Allgatherv.
-func (c *Comm) addAllgatherSteps(s *sched, mine *[]byte, out *[][]byte) {
-	c.addAllgatherStepsFam(s, tagAllgather, mine, out)
-}
-
-// addAllgatherStepsFam is addAllgatherSteps under an explicit tag
-// family, for Plan-composed schedules.
-func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][]byte) {
-	tag := s.tag(family)
+// addAllgatherSteps schedules the ring allgather (p-1 shifted steps)
+// under tag family (tagAllgather, or a Plan's own): at completion *out
+// holds every member's block (*mine is re-read each activation). Blocks
+// may differ in size, so this also serves Allgatherv.
+func (c *Comm) addAllgatherSteps(s *sched, family int, mine *[]byte, out *[][]byte) {
 	right := (c.Rank + 1) % c.Size
 	left := (c.Rank - 1 + c.Size) % c.Size
 	var blocks [][]byte
@@ -306,7 +301,7 @@ func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][
 	})
 	for st := 0; st < c.Size-1; st++ {
 		st := st
-		s.exchStep(right, left, tag,
+		s.exchStep(right, left, family,
 			func() ([]byte, error) { return cur, nil },
 			func(in []byte) error {
 				origin := (c.Rank - st - 1 + c.Size) % c.Size
@@ -318,28 +313,23 @@ func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][
 	s.step(func() error { *out = blocks; return nil })
 }
 
-// addAlltoallSteps schedules the pairwise-exchange alltoall: parts[j]
-// reaches member j; at completion *out holds the blocks received from
-// every member. Variable block sizes make it also serve Alltoallv.
-func (c *Comm) addAlltoallSteps(s *sched, parts [][]byte, out *[][]byte) {
-	c.addAlltoallStepsFam(s, tagAlltoall, parts, out)
-}
-
-// addAlltoallStepsFam is addAlltoallSteps under an explicit tag family.
-// parts contents are read lazily inside the steps, so a Plan may fill
-// the (pre-sized) slice from an earlier step of the same schedule.
-func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[][]byte) {
-	tag := s.tag(family)
+// addAlltoallSteps schedules the pairwise-exchange alltoall under tag
+// family (tagAlltoall, or a Plan's own): (*parts)[j] reaches member j;
+// at completion *out holds the blocks received from every member.
+// Variable block sizes make it also serve Alltoallv. *parts is read
+// lazily inside the steps, so a Plan may fill the (pre-sized) slice
+// from an earlier step of the same schedule.
+func (c *Comm) addAlltoallSteps(s *sched, family int, parts *[][]byte, out *[][]byte) {
 	var res [][]byte
 	s.onReset(func() { res = make([][]byte, c.Size) })
 	for st := 1; st < c.Size; st++ {
 		dst := (c.Rank + st) % c.Size
 		src := (c.Rank - st + c.Size) % c.Size
-		s.exchStep(dst, src, tag,
-			func() ([]byte, error) { return parts[dst], nil },
+		s.exchStep(dst, src, family,
+			func() ([]byte, error) { return (*parts)[dst], nil },
 			func(in []byte) error { res[src] = in; return nil })
 	}
-	s.step(func() error { res[c.Rank] = parts[c.Rank]; *out = res; return nil })
+	s.step(func() error { res[c.Rank] = (*parts)[c.Rank]; *out = res; return nil })
 }
 
 // addReduceSteps schedules the reduction of *mine toward root (the
@@ -352,7 +342,6 @@ func (c *Comm) addReduceSteps(s *sched, root int, mine *any, op *Op, out *any) {
 		c.addOrderedReduceSteps(s, root, mine, op, out)
 		return
 	}
-	tag := s.tag(tagReduce)
 	vr := rel(c.Rank, root, c.Size)
 	cls, _ := dtype.ClassOf(*mine)
 	var acc any
@@ -365,12 +354,12 @@ func (c *Comm) addReduceSteps(s *sched, root int, mine *any, op *Op, out *any) {
 				if err != nil {
 					return err
 				}
-				return s.isend(unrel(vr-mask, root, c.Size), tag, wire)
+				return s.isend(unrel(vr-mask, root, c.Size), tagReduce, wire)
 			})
 			return // contribution forwarded; this member is done
 		}
 		if vr+mask < c.Size {
-			s.recvStep(unrel(vr+mask, root, c.Size), tag, func(got []byte) error {
+			s.recvStep(unrel(vr+mask, root, c.Size), tagReduce, func(got []byte) error {
 				partial, err := dtype.DecodeDense(got, cls)
 				if err != nil {
 					return err
@@ -455,7 +444,6 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 		return
 	}
 
-	tag := s.tag(tagReduce)
 	var acc any
 	s.onReset(func() { acc = dtype.CloneDense(*mine) })
 	p2 := 1
@@ -473,10 +461,10 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 			if err != nil {
 				return err
 			}
-			return s.isend(c.Rank+1, tag, wire)
+			return s.isend(c.Rank+1, tagReduce, wire)
 		})
 	case c.Rank < 2*remainder:
-		s.recvStep(c.Rank-1, tag, func(got []byte) error {
+		s.recvStep(c.Rank-1, tagReduce, func(got []byte) error {
 			lower, err := dtype.DecodeDense(got, cls)
 			if err != nil {
 				return err
@@ -498,7 +486,7 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 	if newRank >= 0 {
 		for mask := 1; mask < p2; mask <<= 1 {
 			partner := newRank ^ mask
-			s.exchStep(realOf(partner), realOf(partner), tag,
+			s.exchStep(realOf(partner), realOf(partner), tagReduce,
 				func() ([]byte, error) { return dtype.EncodeDense(acc) },
 				func(got []byte) error {
 					theirs, err := dtype.DecodeDense(got, cls)
@@ -521,7 +509,7 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 	// idled even members.
 	if c.Rank < 2*remainder {
 		if c.Rank%2 == 0 {
-			s.recvStep(c.Rank+1, tag, func(got []byte) error {
+			s.recvStep(c.Rank+1, tagReduce, func(got []byte) error {
 				v, err := dtype.DecodeDense(got, cls)
 				if err != nil {
 					return err
@@ -535,7 +523,7 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 				if err != nil {
 					return err
 				}
-				return s.isend(c.Rank-1, tag, wire)
+				return s.isend(c.Rank-1, tagReduce, wire)
 			})
 		}
 	}
@@ -549,11 +537,10 @@ func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
 // the standard). The chain preserves non-commutative operation order by
 // construction.
 func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, mine *any, op *Op, out *any) {
-	tag := s.tag(family)
 	cls, _ := dtype.ClassOf(*mine)
 	var prefix, incl any
 	if c.Rank > 0 {
-		s.recvStep(c.Rank-1, tag, func(got []byte) error {
+		s.recvStep(c.Rank-1, family, func(got []byte) error {
 			var err error
 			prefix, err = dtype.DecodeDense(got, cls)
 			return err
@@ -576,7 +563,7 @@ func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, mine *any, op 
 			if err != nil {
 				return err
 			}
-			return s.isend(c.Rank+1, tag, wire)
+			return s.isend(c.Rank+1, family, wire)
 		})
 	}
 	s.step(func() error {
@@ -590,8 +577,8 @@ func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, mine *any, op 
 }
 
 // addReduceScatterSteps schedules the fold-then-scatter: member r ends
-// up with counts[r] elements of the result in *out.
-func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts []int, op *Op, out *any) {
+// up with (*counts)[r] elements of the result in *out.
+func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts *[]int, op *Op, out *any) {
 	var res any
 	c.addReduceSteps(s, 0, mine, op, &res)
 	var parts [][]byte
@@ -601,7 +588,7 @@ func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts []int, op *Op, 
 		}
 		parts = make([][]byte, c.Size)
 		lo := 0
-		for r, n := range counts {
+		for r, n := range *counts {
 			seg := dtype.SliceDense(res, lo, lo+n)
 			w, err := dtype.EncodeDense(seg)
 			if err != nil {
@@ -626,9 +613,71 @@ func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts []int, op *Op, 
 }
 
 // ---------------------------------------------------------------------
+// Result builders. Each compiles one collective's steps plus the final
+// publish step against pointers to its inputs; the nonblocking, blocking
+// and persistent entry points all compile through them.
+// ---------------------------------------------------------------------
+
+func (c *Comm) buildBcast(s *sched, root int, data *[]byte) {
+	c.addBcastSteps(s, root, data)
+	s.publish(func() any { return *data })
+}
+
+func (c *Comm) buildGather(s *sched, root int, mine *[]byte) {
+	var blocks [][]byte
+	c.addGatherSteps(s, root, mine, &blocks)
+	s.publish(func() any { return blocks })
+}
+
+func (c *Comm) buildScatter(s *sched, root int, parts *[][]byte) {
+	var out []byte
+	c.addScatterSteps(s, root, parts, &out)
+	s.publish(func() any { return out })
+}
+
+func (c *Comm) buildAllgather(s *sched, mine *[]byte) {
+	var blocks [][]byte
+	c.addAllgatherSteps(s, tagAllgather, mine, &blocks)
+	s.publish(func() any { return blocks })
+}
+
+func (c *Comm) buildAlltoall(s *sched, parts *[][]byte) {
+	var out [][]byte
+	c.addAlltoallSteps(s, tagAlltoall, parts, &out)
+	s.publish(func() any { return out })
+}
+
+func (c *Comm) buildReduce(s *sched, root int, mine *any, op *Op) {
+	var res any
+	c.addReduceSteps(s, root, mine, op, &res)
+	s.publish(func() any { return res })
+}
+
+func (c *Comm) buildAllreduce(s *sched, mine *any, op *Op) {
+	var res any
+	c.addAllreduceSteps(s, mine, op, &res)
+	s.publish(func() any { return res })
+}
+
+func (c *Comm) buildScan(s *sched, family int, exclusive bool, mine *any, op *Op) {
+	var res any
+	c.addScanSteps(s, family, exclusive, mine, op, &res)
+	s.publish(func() any { return res })
+}
+
+func (c *Comm) buildReduceScatter(s *sched, mine *any, counts *[]int, op *Op) {
+	var res any
+	c.addReduceScatterSteps(s, mine, counts, op, &res)
+	s.publish(func() any { return res })
+}
+
+// ---------------------------------------------------------------------
 // Entry points. Every collective has a nonblocking I* form returning a
-// *Request and a blocking form that runs the identical schedule on the
-// calling goroutine.
+// *Request and a blocking form running the identical schedule on the
+// calling goroutine. The I* forms compile a fresh schedule per call;
+// the blocking forms re-run the communicator's cached one (cache.go).
+// Argument errors consume the call's instance number either way, so
+// the sequence advances by exactly one per call on every member.
 // ---------------------------------------------------------------------
 
 // Ibarrier starts a nonblocking barrier: the returned request completes
@@ -641,106 +690,85 @@ func (c *Comm) Ibarrier() *Request {
 
 // Barrier blocks until every member has entered it.
 func (c *Comm) Barrier() error {
-	s := c.newSched()
-	c.addBarrierSteps(s)
-	_, err := s.runBlocking()
+	_, err := c.runCached(kindBarrier, shape{}, ins{}, func(s *sched, _ *ins) {
+		c.addBarrierSteps(s)
+	})
 	return err
-}
-
-func (c *Comm) bcastSched(root int, data []byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	buf := data
-	c.addBcastSteps(s, root, &buf)
-	s.publish(func() any { return buf })
-	return s, nil
 }
 
 // Ibcast starts a nonblocking broadcast of root's payload; the
 // completed request's result is the payload ([]byte) on every member.
 func (c *Comm) Ibcast(root int, data []byte) (*Request, error) {
-	s, err := c.bcastSched(root, data)
-	if err != nil {
+	s := c.newSched() // mint the instance before validation
+	if err := c.check(root); err != nil {
 		return nil, err
 	}
+	c.buildBcast(s, root, &data)
 	return s.start(), nil
 }
 
 // Bcast distributes root's payload to every member along a binomial
 // tree and returns it (the root gets its own slice back).
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	s, err := c.bcastSched(root, data)
-	if err != nil {
+	if err := c.check(root); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	res, err := s.runBlocking()
+	res, err := c.runCached(kindBcast, shape{root: root}, ins{data: data}, func(s *sched, in *ins) {
+		c.buildBcast(s, root, &in.data)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res.([]byte), nil
 }
 
-func (c *Comm) gatherSched(root int, mine []byte) (*sched, error) {
+// Igather starts a nonblocking gather; the completed request's result
+// is the per-rank blocks ([][]byte) at root, nil elsewhere.
+func (c *Comm) Igather(root int, mine []byte) (*Request, error) {
 	s := c.newSched() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	in := mine
-	var blocks [][]byte
-	c.addGatherSteps(s, root, &in, &blocks)
-	s.publish(func() any { return blocks })
-	return s, nil
-}
-
-// Igather starts a nonblocking gather; the completed request's result
-// is the per-rank blocks ([][]byte) at root, nil elsewhere.
-func (c *Comm) Igather(root int, mine []byte) (*Request, error) {
-	s, err := c.gatherSched(root, mine)
-	if err != nil {
-		return nil, err
-	}
+	c.buildGather(s, root, &mine)
 	return s.start(), nil
 }
 
 // Gather collects every member's block at root along a binomial tree.
 // At root the result is indexed by group rank; other ranks get nil.
 func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
-	s, err := c.gatherSched(root, mine)
-	if err != nil {
+	if err := c.check(root); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	res, err := s.runBlocking()
+	res, err := c.runCached(kindGather, shape{root: root}, ins{data: mine}, func(s *sched, in *ins) {
+		c.buildGather(s, root, &in.data)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res.([][]byte), nil
 }
 
-func (c *Comm) scatterSched(root int, parts [][]byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+func (c *Comm) checkScatter(root int, parts [][]byte) error {
 	if err := c.check(root); err != nil {
-		return nil, err
+		return err
 	}
 	if c.Rank == root && len(parts) != c.Size {
-		return nil, fmt.Errorf("coll: scatter with %d parts for %d ranks", len(parts), c.Size)
+		return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(parts), c.Size)
 	}
-	p := parts
-	var out []byte
-	c.addScatterSteps(s, root, &p, &out)
-	s.publish(func() any { return out })
-	return s, nil
+	return nil
 }
 
 // Iscatter starts a nonblocking scatter of parts (indexed by group
 // rank, significant at root only); the completed request's result is
 // this member's block ([]byte).
 func (c *Comm) Iscatter(root int, parts [][]byte) (*Request, error) {
-	s, err := c.scatterSched(root, parts)
-	if err != nil {
+	s := c.newSched() // mint the instance before validation
+	if err := c.checkScatter(root, parts); err != nil {
 		return nil, err
 	}
+	c.buildScatter(s, root, &parts)
 	return s.start(), nil
 }
 
@@ -748,193 +776,173 @@ func (c *Comm) Iscatter(root int, parts [][]byte) (*Request, error) {
 // its own block. Blocks may have different sizes, so Scatter doubles as
 // Scatterv.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	s, err := c.scatterSched(root, parts)
-	if err != nil {
+	if err := c.checkScatter(root, parts); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	res, err := s.runBlocking()
+	res, err := c.runCached(kindScatter, shape{root: root}, ins{parts: parts}, func(s *sched, in *ins) {
+		c.buildScatter(s, root, &in.parts)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res.([]byte), nil
 }
 
-func (c *Comm) allgatherSched(mine []byte) *sched {
-	s := c.newSched()
-	in := mine
-	var blocks [][]byte
-	c.addAllgatherSteps(s, &in, &blocks)
-	s.publish(func() any { return blocks })
-	return s
-}
-
 // Iallgather starts a nonblocking allgather; the completed request's
 // result is every member's block ([][]byte).
 func (c *Comm) Iallgather(mine []byte) *Request {
-	return c.allgatherSched(mine).start()
+	s := c.newSched()
+	c.buildAllgather(s, &mine)
+	return s.start()
 }
 
 // Allgather collects every member's block at every member.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	res, err := c.allgatherSched(mine).runBlocking()
+	res, err := c.runCached(kindAllgather, shape{}, ins{data: mine}, func(s *sched, in *ins) {
+		c.buildAllgather(s, &in.data)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res.([][]byte), nil
 }
 
-func (c *Comm) alltoallSched(parts [][]byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+func (c *Comm) checkAlltoall(parts [][]byte) error {
 	if len(parts) != c.Size {
-		return nil, fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(parts), c.Size)
+		return fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(parts), c.Size)
 	}
-	var out [][]byte
-	c.addAlltoallSteps(s, parts, &out)
-	s.publish(func() any { return out })
-	return s, nil
+	return nil
 }
 
 // Ialltoall starts a nonblocking alltoall; the completed request's
 // result is the blocks received from every member ([][]byte).
 func (c *Comm) Ialltoall(parts [][]byte) (*Request, error) {
-	s, err := c.alltoallSched(parts)
-	if err != nil {
+	s := c.newSched() // mint the instance before validation
+	if err := c.checkAlltoall(parts); err != nil {
 		return nil, err
 	}
+	c.buildAlltoall(s, &parts)
 	return s.start(), nil
 }
 
 // Alltoall delivers parts[j] to member j and returns the blocks
 // received from every member.
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	s, err := c.alltoallSched(parts)
-	if err != nil {
+	if err := c.checkAlltoall(parts); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	res, err := s.runBlocking()
+	res, err := c.runCached(kindAlltoall, shape{}, ins{parts: parts}, func(s *sched, in *ins) {
+		c.buildAlltoall(s, &in.parts)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res.([][]byte), nil
 }
 
-func (c *Comm) reduceSched(root int, mine any, op *Op) (*sched, error) {
+// Ireduce starts a nonblocking reduction toward root; the completed
+// request's result is the folded dense slice at root, nil elsewhere.
+func (c *Comm) Ireduce(root int, mine any, op *Op) (*Request, error) {
 	s := c.newSched() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	in := mine
-	var res any
-	c.addReduceSteps(s, root, &in, op, &res)
-	s.publish(func() any { return res })
-	return s, nil
-}
-
-// Ireduce starts a nonblocking reduction toward root; the completed
-// request's result is the folded dense slice at root, nil elsewhere.
-func (c *Comm) Ireduce(root int, mine any, op *Op) (*Request, error) {
-	s, err := c.reduceSched(root, mine, op)
-	if err != nil {
-		return nil, err
-	}
+	c.buildReduce(s, root, &mine, op)
 	return s.start(), nil
 }
 
 // Reduce folds every member's dense slice with op, leaving the result
 // at root (returned there; nil elsewhere).
 func (c *Comm) Reduce(root int, mine any, op *Op) (any, error) {
-	s, err := c.reduceSched(root, mine, op)
-	if err != nil {
+	if err := c.check(root); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	return s.runBlocking()
-}
-
-func (c *Comm) allreduceSched(mine any, op *Op) *sched {
-	s := c.newSched()
-	in := mine
-	var res any
-	c.addAllreduceSteps(s, &in, op, &res)
-	s.publish(func() any { return res })
-	return s
+	return c.runCached(kindReduce, denseShape(root, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
+		c.buildReduce(s, root, &in.dense, op)
+	})
 }
 
 // Iallreduce starts a nonblocking all-reduction; the completed
 // request's result is the folded dense slice on every member.
 func (c *Comm) Iallreduce(mine any, op *Op) *Request {
-	return c.allreduceSched(mine, op).start()
+	s := c.newSched()
+	c.buildAllreduce(s, &mine, op)
+	return s.start()
 }
 
 // Allreduce folds every member's dense slice with op and returns the
 // result at every member.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
-	return c.allreduceSched(mine, op).runBlocking()
-}
-
-func (c *Comm) scanSched(family int, exclusive bool, mine any, op *Op) *sched {
-	s := c.newSched()
-	in := mine
-	var res any
-	c.addScanSteps(s, family, exclusive, &in, op, &res)
-	s.publish(func() any { return res })
-	return s
+	return c.runCached(kindAllreduce, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
+		c.buildAllreduce(s, &in.dense, op)
+	})
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction in rank order;
 // the completed request's result is member r's fold over ranks 0..r.
 func (c *Comm) Iscan(mine any, op *Op) *Request {
-	return c.scanSched(tagScan, false, mine, op).start()
+	s := c.newSched()
+	c.buildScan(s, tagScan, false, &mine, op)
+	return s.start()
 }
 
 // Scan computes the inclusive prefix reduction in rank order along a
 // chain.
 func (c *Comm) Scan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagScan, false, mine, op).runBlocking()
+	return c.runCached(kindScan, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
+		c.buildScan(s, tagScan, false, &in.dense, op)
+	})
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction in rank
 // order; member r's result is the fold over ranks 0..r-1 (nil at rank
 // 0, whose result is undefined).
 func (c *Comm) Iexscan(mine any, op *Op) *Request {
-	return c.scanSched(tagExscan, true, mine, op).start()
+	s := c.newSched()
+	c.buildScan(s, tagExscan, true, &mine, op)
+	return s.start()
 }
 
 // Exscan computes the exclusive prefix reduction in rank order (the
 // MPI-2 extension the paper's §5.3 targets).
 func (c *Comm) Exscan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagExscan, true, mine, op).runBlocking()
+	return c.runCached(kindExscan, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
+		c.buildScan(s, tagExscan, true, &in.dense, op)
+	})
 }
 
-func (c *Comm) reduceScatterSched(mine any, counts []int, op *Op) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+func (c *Comm) checkCounts(counts []int) error {
 	if len(counts) != c.Size {
-		return nil, fmt.Errorf("coll: reduce_scatter with %d counts for %d ranks", len(counts), c.Size)
+		return fmt.Errorf("coll: reduce_scatter with %d counts for %d ranks", len(counts), c.Size)
 	}
-	in := mine
-	var res any
-	c.addReduceScatterSteps(s, &in, counts, op, &res)
-	s.publish(func() any { return res })
-	return s, nil
+	return nil
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter; the completed
 // request's result is member r's counts[r]-element segment.
 func (c *Comm) IreduceScatter(mine any, counts []int, op *Op) (*Request, error) {
-	s, err := c.reduceScatterSched(mine, counts, op)
-	if err != nil {
+	s := c.newSched() // mint the instance before validation
+	if err := c.checkCounts(counts); err != nil {
 		return nil, err
 	}
+	c.buildReduceScatter(s, &mine, &counts, op)
 	return s.start(), nil
 }
 
 // ReduceScatter folds with op, then scatters consecutive segments of
 // the result: member r receives counts[r] elements.
 func (c *Comm) ReduceScatter(mine any, counts []int, op *Op) (any, error) {
-	s, err := c.reduceScatterSched(mine, counts, op)
-	if err != nil {
+	if err := c.checkCounts(counts); err != nil {
+		c.SkipInstance()
 		return nil, err
 	}
-	return s.runBlocking()
+	in := ins{dense: mine, counts: counts}
+	return c.runCached(kindReduceScatter, denseShape(0, op, mine), in, func(s *sched, in *ins) {
+		c.buildReduceScatter(s, &in.dense, &in.counts, op)
+	})
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

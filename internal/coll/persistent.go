@@ -15,10 +15,10 @@ import (
 // The *Init constructors take pointers to the operation's inputs: each
 // activation re-reads them, so the binding layer can re-pack the user's
 // (fixed) buffers before every Start — MPI's persistent-operation
-// contract. Tags are minted once and reused: a member must complete
-// activation k before starting k+1 (Start enforces it locally), which
-// keeps successive activations' traffic aligned pair-wise without new
-// tags.
+// contract. The instance number is minted once and reused: a member
+// must complete activation k before starting k+1 (Start enforces it
+// locally), which keeps successive activations' traffic aligned
+// pair-wise without a new instance.
 type Persistent struct {
 	s *sched
 
@@ -87,8 +87,7 @@ func (c *Comm) BcastInit(root int, data *[]byte) (*Persistent, error) {
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	c.addBcastSteps(s, root, data)
-	s.publish(func() any { return *data })
+	c.buildBcast(s, root, data)
 	return &Persistent{s: s}, nil
 }
 
@@ -99,9 +98,7 @@ func (c *Comm) GatherInit(root int, mine *[]byte) (*Persistent, error) {
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	var blocks [][]byte
-	c.addGatherSteps(s, root, mine, &blocks)
-	s.publish(func() any { return blocks })
+	c.buildGather(s, root, mine)
 	return &Persistent{s: s}, nil
 }
 
@@ -109,9 +106,7 @@ func (c *Comm) GatherInit(root int, mine *[]byte) (*Persistent, error) {
 // completes with every member's block ([][]byte).
 func (c *Comm) AllgatherInit(mine *[]byte) *Persistent {
 	s := c.newSched()
-	var blocks [][]byte
-	c.addAllgatherSteps(s, mine, &blocks)
-	s.publish(func() any { return blocks })
+	c.buildAllgather(s, mine)
 	return &Persistent{s: s}
 }
 
@@ -123,9 +118,7 @@ func (c *Comm) ReduceInit(root int, mine *any, op *Op) (*Persistent, error) {
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	var res any
-	c.addReduceSteps(s, root, mine, op, &res)
-	s.publish(func() any { return res })
+	c.buildReduce(s, root, mine, op)
 	return &Persistent{s: s}, nil
 }
 
@@ -134,26 +127,20 @@ func (c *Comm) ReduceInit(root int, mine *any, op *Op) (*Persistent, error) {
 // folded dense slice on every member.
 func (c *Comm) AllreduceInit(mine *any, op *Op) *Persistent {
 	s := c.newSched()
-	var res any
-	c.addAllreduceSteps(s, mine, op, &res)
-	s.publish(func() any { return res })
+	c.buildAllreduce(s, mine, op)
 	return &Persistent{s: s}
 }
 
 // ScanInit builds a persistent inclusive prefix reduction.
 func (c *Comm) ScanInit(mine *any, op *Op) *Persistent {
 	s := c.newSched()
-	var res any
-	c.addScanSteps(s, tagScan, false, mine, op, &res)
-	s.publish(func() any { return res })
+	c.buildScan(s, tagScan, false, mine, op)
 	return &Persistent{s: s}
 }
 
 // ExscanInit builds a persistent exclusive prefix reduction.
 func (c *Comm) ExscanInit(mine *any, op *Op) *Persistent {
 	s := c.newSched()
-	var res any
-	c.addScanSteps(s, tagExscan, true, mine, op, &res)
-	s.publish(func() any { return res })
+	c.buildScan(s, tagExscan, true, mine, op)
 	return &Persistent{s: s}
 }

@@ -56,15 +56,14 @@ func (p *Plan) Alltoall(parts [][]byte, out *[][]byte) error {
 	if len(parts) != p.c.Size {
 		return fmt.Errorf("coll: plan alltoall with %d parts for %d ranks", len(parts), p.c.Size)
 	}
-	p.c.addAlltoallStepsFam(p.s, p.nextFam(), parts, out)
+	p.c.addAlltoallSteps(p.s, p.nextFam(), &parts, out)
 	return nil
 }
 
 // Allgather appends a ring allgather round of this member's block; *out
 // holds every member's block once the round's steps have run.
 func (p *Plan) Allgather(mine []byte, out *[][]byte) {
-	in := mine
-	p.c.addAllgatherStepsFam(p.s, p.nextFam(), &in, out)
+	p.c.addAllgatherSteps(p.s, p.nextFam(), &mine, out)
 }
 
 // Publish appends the final step that snapshots the schedule's result:

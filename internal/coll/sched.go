@@ -128,15 +128,17 @@ type step struct {
 
 // sched is one collective operation's schedule: the ordered steps the
 // algorithm compiled into, the progress state they share, and the sends
-// still in flight. A schedule is built synchronously inside the
-// collective call (so tag allocation happens in program order on every
-// member) and then executed by run — on the calling goroutine for the
-// blocking entry points, on the shared progress pool for the nonblocking
-// and persistent ones — parking, not blocking its executor, whenever it
-// waits for a message.
+// still in flight. A schedule is compiled synchronously inside the
+// collective call (so instance numbers are minted in program order on
+// every member) and then executed by run — on the calling goroutine for
+// the blocking entry points, on the shared progress pool for the
+// nonblocking and persistent ones — parking, not blocking its executor,
+// whenever it waits for a message. Steps name only tag families; the
+// matching tag is formed from inst when an operation is posted, so a
+// blocking caller can re-run a cached schedule under a fresh instance.
 type sched struct {
 	c      *Comm
-	inst   uint32 // this collective instance's sequence number
+	inst   uint32 // the current activation's instance sequence number
 	req    *Request
 	steps  []step
 	resets []func()        // per-activation state initializers, run by arm
@@ -169,11 +171,18 @@ type sched struct {
 // newSched builds an empty schedule and mints its instance number —
 // unconditionally, before any validation, so the sequence advances by
 // exactly one per collective call on every member regardless of local
-// outcomes. The request's channels stay nil until start(): blocking
-// callers never select on them, and a nil cancelCh behaves like "never
-// cancelled" — so a blocking collective pays no channel allocations.
-func (c *Comm) newSched() *sched {
-	s := &sched{c: c, inst: c.seq.Add(1) - 1}
+// outcomes.
+func (c *Comm) newSched() *sched { return c.schedFor(c.mint()) }
+
+// mint consumes the communicator's next collective instance number.
+func (c *Comm) mint() uint32 { return c.seq.Add(1) - 1 }
+
+// schedFor builds an empty schedule for instance inst. The request's
+// channels stay nil until start(): blocking callers never select on
+// them, and a nil cancelCh behaves like "never cancelled" — so a
+// blocking collective pays no channel allocations.
+func (c *Comm) schedFor(inst uint32) *sched {
+	s := &sched{c: c, inst: inst}
 	s.req = &Request{s: s}
 	s.wake = func() {
 		// Runs under the engine lock (completion callback); counter
@@ -192,10 +201,11 @@ func (c *Comm) newSched() *sched {
 	return s
 }
 
-// tag mints the matching tag for one family within this instance.
-// Composed schedules (reduce-scatter, ordered allreduce) use several
-// families under one instance number; no composition uses a family
-// twice, so tags stay unique within the instance.
+// tag forms the matching tag of one family under the current
+// activation's instance; isend and the receive posts call it at post
+// time. Composed schedules (reduce-scatter, ordered allreduce) use
+// several families under one instance number; no composition uses a
+// family twice, so tags stay unique within the instance.
 func (s *sched) tag(family int) int {
 	return int(s.inst%seqPeriod)<<tagFamBits | family
 }
@@ -230,10 +240,26 @@ func (s *sched) arm() {
 // traffic can never cross-match round k's.
 func (s *sched) rearm() {
 	s.req = &Request{s: s, done: make(chan struct{}), cancelCh: make(chan struct{})}
-	s.pc = 0
-	s.pend = nil
-	s.res = nil
+	s.rewind()
 	s.arm()
+}
+
+// reuse readies a blocking schedule that ran to completion for its
+// next activation, as instance inst: every tag it posts is formed from
+// inst. Its request never escaped the blocking caller, so it is reset
+// in place.
+func (s *sched) reuse(inst uint32) {
+	s.inst = inst
+	s.req.res, s.req.err = nil, nil
+	s.rewind()
+}
+
+// rewind puts the program counter back at the top and drops the last
+// result. Only a completed activation is rewound, and its drain left
+// pend empty with the backing array kept for the next one's sends.
+func (s *sched) rewind() {
+	s.pc = 0
+	s.res = nil
 }
 
 // publish appends the final step that snapshots the algorithm's result.
@@ -241,14 +267,14 @@ func (s *sched) publish(get func() any) {
 	s.step(func() error { s.res = get(); return nil })
 }
 
-// recvStep appends a post step and a gated consume step: the receive is
-// posted nonblockingly, and fn runs — with the payload, ownership
-// transferred out of the engine — only once it has completed, without
-// ever blocking an executor.
-func (s *sched) recvStep(src, tag int, fn func([]byte) error) {
+// recvStep appends a post step and a gated consume step: the receive of
+// tag family fam is posted nonblockingly, and fn runs — with the
+// payload, ownership transferred out of the engine — only once it has
+// completed, without ever blocking an executor.
+func (s *sched) recvStep(src, fam int, fn func([]byte) error) {
 	f := &fut{}
 	s.steps = append(s.steps, step{run: func() error {
-		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(s.tag(fam)))
 		return nil
 	}})
 	s.steps = append(s.steps, step{gate: f, run: func() error {
@@ -263,19 +289,19 @@ func (s *sched) recvStep(src, tag int, fn func([]byte) error) {
 // exchStep appends a concurrent exchange with two (possibly distinct)
 // partners, the building block of the symmetric algorithms: one step
 // posts the send (payload computed at post time by out) and the
-// receive, a gated step consumes the received payload. The send's
-// completion is left to the drain.
-func (s *sched) exchStep(dst, src, tag int, out func() ([]byte, error), fn func([]byte) error) {
+// receive, both of tag family fam, and a gated step consumes the
+// received payload. The send's completion is left to the drain.
+func (s *sched) exchStep(dst, src, fam int, out func() ([]byte, error), fn func([]byte) error) {
 	f := &fut{}
 	s.steps = append(s.steps, step{run: func() error {
 		b, err := out()
 		if err != nil {
 			return err
 		}
-		if err := s.isend(dst, tag, b); err != nil {
+		if err := s.isend(dst, fam, b); err != nil {
 			return err
 		}
-		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(s.tag(fam)))
 		return nil
 	}})
 	s.steps = append(s.steps, step{gate: f, run: func() error {
@@ -395,7 +421,8 @@ func (s *sched) run() bool {
 			}
 			r.Recycle()
 		}
-		s.pend = nil
+		clear(s.pend)
+		s.pend = s.pend[:0]
 		if err != nil {
 			s.fail(err)
 			return true
@@ -509,12 +536,12 @@ func (s *sched) abortGate() {
 	}
 }
 
-// isend posts a standard-mode send on the schedule's context and tracks
-// it for the completion drain. Collective payloads never carry the
-// exclusive-ownership recycle promise: algorithms fan one buffer out to
-// several destinations and forward received payloads.
-func (s *sched) isend(dst, tag int, b []byte) error {
-	req, err := s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, false)
+// isend posts a standard-mode send of tag family fam on the schedule's
+// context and tracks it for the completion drain. Collective payloads
+// never carry the exclusive-ownership recycle promise: algorithms fan
+// one buffer out to several destinations and forward received payloads.
+func (s *sched) isend(dst, fam int, b []byte) error {
+	req, err := s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), s.tag(fam), b, core.ModeStandard, false)
 	if err != nil {
 		return err
 	}

@@ -229,8 +229,10 @@ func (p *Proc) progress() {
 		}
 		f, err := parseFrame(raw)
 		if err != nil {
-			// A malformed frame indicates a wire-level bug, not a
-			// user error; drop it loudly in debug builds.
+			// A malformed frame indicates a wire-level bug or a hostile
+			// peer, not a user error: count it, record it, drop it.
+			p.stats.FramesMalformed.Inc()
+			p.rec.Instant(obs.EvFrameMalformed, uint32(f.kind), int64(len(f.frame.Data)))
 			f.frame.Release()
 			continue
 		}

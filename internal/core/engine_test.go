@@ -380,3 +380,43 @@ func TestStatsCancelled(t *testing.T) {
 		t.Fatalf("cancelled count %d", got)
 	}
 }
+
+// TestMalformedFrameCounted: a truncated frame injected straight into
+// the device is dropped by the receiving engine, which counts it in
+// core.frames_malformed; traffic sent afterwards still flows.
+func TestMalformedFrameCounted(t *testing.T) {
+	devs := transport.NewShmJob(2, 0)
+	p0, p1 := NewProc(devs[0], Config{}), NewProc(devs[1], Config{})
+	t.Cleanup(func() {
+		p0.Close()
+		p1.Close()
+	})
+	raw := transport.GetBuf(3)
+	copy(raw, []byte{kEager, 1, 2}) // an eager header needs envLen+8 more bytes
+	if err := devs[0].Send(1, raw); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n, _ := p1.Obs().Value("core.frames_malformed"); n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("core.frames_malformed did not advance")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	payload := []byte("after the bad frame")
+	sreq, err := p0.Isend(0, 0, 1, 7, payload, ModeStandard, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq.Wait()
+	rreq := p1.Irecv(0, 0, 7)
+	if st := rreq.Wait(); st.Err != nil || !bytes.Equal(rreq.Payload, payload) {
+		t.Fatalf("later message: err %v, payload %q", st.Err, rreq.Payload)
+	}
+	if got := p1.StatsSnapshot().FramesMalformed; got != 1 {
+		t.Fatalf("FramesMalformed = %d, want 1", got)
+	}
+}

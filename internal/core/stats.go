@@ -44,6 +44,9 @@ type Stats struct {
 	// PeersLost counts peer processes whose loss the engine has
 	// observed and converted into per-operation failures.
 	PeersLost *obs.Counter
+	// FramesMalformed counts incoming frames dropped because their
+	// header failed to parse.
+	FramesMalformed *obs.Counter
 }
 
 // newStats registers the engine's counters in reg.
@@ -60,6 +63,7 @@ func newStats(reg *obs.Registry) Stats {
 		RecvsZeroCopy:   reg.Counter("core.recvs_zero_copy"),
 		Cancelled:       reg.Counter("core.cancelled"),
 		PeersLost:       reg.Counter("core.peers_lost"),
+		FramesMalformed: reg.Counter("core.frames_malformed"),
 	}
 }
 
@@ -74,6 +78,7 @@ type Snapshot struct {
 	RecvsZeroCopy                    uint64
 	Cancelled                        uint64
 	PeersLost                        uint64
+	FramesMalformed                  uint64
 
 	// Pool is the frame pool's counter snapshot; Pool.HitRate shows
 	// how much of the frame traffic recirculates instead of
@@ -114,6 +119,7 @@ func (p *Proc) StatsSnapshot() Snapshot {
 		RecvsZeroCopy:   s.RecvsZeroCopy.Load(),
 		Cancelled:       s.Cancelled.Load(),
 		PeersLost:       s.PeersLost.Load(),
+		FramesMalformed: s.FramesMalformed.Load(),
 		Pool:            transport.PoolStats(),
 		Devices:         transport.DeviceStatsOf(p.dev),
 	}

@@ -67,6 +67,8 @@ const (
 	EvAdmit    // span; val=cross-world links built
 	EvSpawn    // span; val=ranks requested
 	EvFinalize // instant
+	// core, appended after the kinds above to keep their wire values.
+	EvFrameMalformed // instant; arg=frame kind byte, val=frame header bytes
 	evMax
 )
 

@@ -309,9 +309,17 @@ func Ireduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*Request[
 // ReduceOne folds a single value with op; the reduced value is returned
 // at root (other members receive their own contribution back).
 func ReduceOne[T Primitive](c Comm, v T, op Op[T], root int) (T, error) {
-	out := []T{v}
-	err := Reduce(c, []T{v}, out, op, root)
-	return out[0], err
+	buf, box := one(v)
+	err := c.Reduce(box, 0, box, 0, 1, TypeOf[T](), op.op, root)
+	return buf[0], err
+}
+
+// one boxes a one-element slice holding v, for the scalar reductions to
+// pass as both send and receive buffer: the binding copies the send
+// side out before the collective runs and deposits the result after.
+func one[T Primitive](v T) ([]T, any) {
+	buf := []T{v}
+	return buf, buf
 }
 
 // Allreduce folds every member's send slice elementwise with op,
@@ -334,9 +342,9 @@ func Iallreduce[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], err
 // AllreduceOne folds a single value with op and returns the reduced
 // value on every member.
 func AllreduceOne[T Primitive](c Comm, v T, op Op[T]) (T, error) {
-	out := []T{v}
-	err := Allreduce(c, []T{v}, out, op)
-	return out[0], err
+	buf, box := one(v)
+	err := c.Allreduce(box, 0, box, 0, 1, TypeOf[T](), op.op)
+	return buf[0], err
 }
 
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan):
