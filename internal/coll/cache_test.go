@@ -228,6 +228,25 @@ func TestBlockingCacheDropsFailedSlot(t *testing.T) {
 			}
 			cached = sl.s
 		}
+		// The last rank revokes only once every other rank reports its
+		// warm-up calls done: a revoke notice can overtake a warm-up
+		// message still in flight on another pair and fail that call
+		// instead of the one under test. The report travels on a
+		// context of its own, which the revocation leaves alone.
+		const readyCtx = 8
+		if c.Rank < n-1 {
+			req, err := c.P.Isend(readyCtx, c.Rank, n-1, 0, nil, core.ModeStandard, false)
+			if err != nil {
+				return nil, err
+			}
+			req.Wait()
+		} else {
+			for r := 0; r < n-1; r++ {
+				if st := c.P.Irecv(readyCtx, int32(r), 0).Wait(); st.Err != nil {
+					return nil, st.Err
+				}
+			}
+		}
 
 		if c.Rank == n-1 {
 			// The last rank revokes instead of entering; the notice

@@ -77,8 +77,9 @@ type inMsg struct {
 }
 
 // outFrame is a frame produced by the matching engine to be sent after
-// the engine lock is released (sending under the lock can deadlock with
-// the peer's flow control; see the ordering argument in DESIGN.md). hdr
+// the engine lock is released: sending under the lock can deadlock with
+// the peer's flow control, since the peer may be blocked sending to us
+// while our progress loop waits for the lock to drain its frames. hdr
 // is pool-born; payload (rendezvous DATA only) is shipped by reference.
 type outFrame struct {
 	dst     int32
@@ -227,7 +228,9 @@ func (p *Proc) progress() {
 			p.failAll(err)
 			return
 		}
-		f, err := parseFrame(raw)
+		// The world can grow (dynamic processes), so the source bound
+		// is the current size.
+		f, err := parseFrame(raw, p.dev.Size())
 		if err != nil {
 			// A malformed frame indicates a wire-level bug or a hostile
 			// peer, not a user error: count it, record it, drop it.

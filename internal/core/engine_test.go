@@ -381,8 +381,9 @@ func TestStatsCancelled(t *testing.T) {
 	}
 }
 
-// TestMalformedFrameCounted: a truncated frame injected straight into
-// the device is dropped by the receiving engine, which counts it in
+// TestMalformedFrameCounted: a truncated frame, and well-formed frames
+// whose source world rank lies outside the world, injected straight into
+// the device are dropped by the receiving engine, which counts each in
 // core.frames_malformed; traffic sent afterwards still flows.
 func TestMalformedFrameCounted(t *testing.T) {
 	devs := transport.NewShmJob(2, 0)
@@ -391,14 +392,23 @@ func TestMalformedFrameCounted(t *testing.T) {
 		p0.Close()
 		p1.Close()
 	})
-	raw := transport.GetBuf(3)
-	copy(raw, []byte{kEager, 1, 2}) // an eager header needs envLen+8 more bytes
-	if err := devs[0].Send(1, raw); err != nil {
-		t.Fatal(err)
+	short := transport.GetBuf(3)
+	copy(short, []byte{kEager, 1, 2}) // an eager header needs envLen+8 more bytes
+	bad := [][]byte{
+		short,
+		// Synchronous eager frames ask for an ACK, which could only be
+		// addressed to a rank that does not exist.
+		buildEagerHdr(true, envelope{srcWorld: -1, tag: 9}, 1),
+		buildEagerHdr(true, envelope{srcWorld: 2, tag: 9}, 2),
+	}
+	for _, raw := range bad {
+		if err := devs[0].Send(1, raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n, _ := p1.Obs().Value("core.frames_malformed"); n == 1 {
+		if n, _ := p1.Obs().Value("core.frames_malformed"); n == int64(len(bad)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -416,7 +426,7 @@ func TestMalformedFrameCounted(t *testing.T) {
 	if st := rreq.Wait(); st.Err != nil || !bytes.Equal(rreq.Payload, payload) {
 		t.Fatalf("later message: err %v, payload %q", st.Err, rreq.Payload)
 	}
-	if got := p1.StatsSnapshot().FramesMalformed; got != 1 {
-		t.Fatalf("FramesMalformed = %d, want 1", got)
+	if got := p1.StatsSnapshot().FramesMalformed; got != uint64(len(bad)) {
+		t.Fatalf("FramesMalformed = %d, want %d", got, len(bad))
 	}
 }

@@ -156,7 +156,9 @@ type parsed struct {
 	frame   transport.Frame
 }
 
-func parseFrame(f transport.Frame) (parsed, error) {
+// parseFrame decodes f, rejecting a sender world rank outside
+// [0, size): replies addressed to it could never be delivered.
+func parseFrame(f transport.Frame, size int) (parsed, error) {
 	hdr := f.Data
 	if len(hdr) < 1 {
 		return parsed{frame: f}, fmt.Errorf("core: empty frame")
@@ -215,6 +217,9 @@ func parseFrame(f transport.Frame) (parsed, error) {
 		p.env.ctx = int32(binary.LittleEndian.Uint32(body[4:]))
 	default:
 		return p, fmt.Errorf("core: unknown frame kind %d", p.kind)
+	}
+	if p.env.srcWorld < 0 || int(p.env.srcWorld) >= size {
+		return p, fmt.Errorf("core: frame source rank %d outside the %d-rank world", p.env.srcWorld, size)
 	}
 	return p, nil
 }

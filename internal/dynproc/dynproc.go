@@ -7,14 +7,14 @@
 //
 // The design splits into two halves:
 //
-//   - Fabric is a transport.Device decorator. It passes traffic for the
-//     original world straight through to the wrapped base device and
-//     gives every admitted late joiner a fresh local peer index at
+//   - Fabric is the admission layer over a growable transport.Hybrid.
+//     Launch-time ranks keep their routes, and every admitted late
+//     joiner becomes the next rank of the Hybrid's route table,
 //     baseSize, baseSize+1, ... — existing ranks are never renumbered,
 //     so the engine's live tag space, posted receives and peer-death
 //     bookkeeping survive world growth. Because the two processes on a
-//     dynamic link each number the other in their own local space, the
-//     fabric rewrites the sender-stamped source rank of every inbound
+//     dynamic link each number the other in their own local space, each
+//     link rewrites the sender-stamped source rank of every inbound
 //     frame (core.PatchFrameSource) to the receiver's index for that
 //     peer; reply routing through the engine then just works.
 //
@@ -40,8 +40,8 @@
 // cannot be grown after launch, so the per-pair medium choice the
 // transport registry makes at boot (shm same-node, tcp off-node) is
 // fixed for the original world, and late joiners always ride the socket
-// path. The seam is linkDialer/acceptConn, which carry no mesh
-// assumptions, so a future shm dial-in only touches this package.
+// path. Any transport.Link can be attached, so a future shm dial-in
+// only touches this package.
 package dynproc
 
 import (

@@ -37,14 +37,44 @@ func TestPortNameRejectsGarbage(t *testing.T) {
 	}
 }
 
-// twoFabrics builds two independent single-rank worlds, each wrapped in
-// a dynamic-process fabric, and registers cleanup.
-func twoFabrics(t *testing.T) (*Fabric, *Fabric) {
-	t.Helper()
-	fa := NewFabric(transport.NewShmJob(1, 0)[0])
-	fb := NewFabric(transport.NewShmJob(1, 0)[0])
-	t.Cleanup(func() { fa.Close(); fb.Close() })
-	return fa, fb
+// bases are the two shapes of base device a Fabric is built over: a
+// plain device it wraps in a one-link Hybrid (chan), and a socket mesh
+// that already is a Hybrid and grows in place (tcp).
+var bases = []struct {
+	name string
+	dev  func(t *testing.T) transport.Device
+}{
+	{"chan", func(*testing.T) transport.Device { return transport.NewShmJob(1, 0)[0] }},
+	{"tcp", func(t *testing.T) transport.Device {
+		devs, err := transport.NewLoopbackJob(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return devs[0]
+	}},
+}
+
+// twoFabrics runs body once per base shape, over two independent
+// single-rank worlds each wrapped in a dynamic-process fabric.
+func twoFabrics(t *testing.T, body func(t *testing.T, fa, fb *Fabric)) {
+	for _, b := range bases {
+		t.Run(b.name, func(t *testing.T) {
+			fab := func() *Fabric {
+				base := b.dev(t)
+				f, err := NewFabric(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h, ok := base.(*transport.Hybrid); ok && f.Hybrid != h {
+					t.Fatal("a Hybrid base was wrapped instead of grown in place")
+				}
+				return f
+			}
+			fa, fb := fab(), fab()
+			t.Cleanup(func() { fa.Close(); fb.Close() })
+			body(t, fa, fb)
+		})
+	}
 }
 
 // join runs the full leader handshake plus both sides' admission and
@@ -105,141 +135,166 @@ func join(t *testing.T, fa, fb *Fabric, ctxA, ctxB int32) (worldsA, worldsB []in
 }
 
 func TestLeaderHandshakeAndAdmit(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	worldsA, worldsB, tktA, tktB := join(t, fa, fb, 10, 20)
+	twoFabrics(t, func(t *testing.T, fa, fb *Fabric) {
+		worldsA, worldsB, tktA, tktB := join(t, fa, fb, 10, 20)
 
-	if tktA.AcceptSide != true || tktB.AcceptSide != false {
-		t.Fatalf("accept-side flags: A=%v B=%v", tktA.AcceptSide, tktB.AcceptSide)
-	}
-	if tktA.RemoteCtxCand != 20 || tktB.RemoteCtxCand != 10 {
-		t.Fatalf("context candidates: A saw %d, B saw %d", tktA.RemoteCtxCand, tktB.RemoteCtxCand)
-	}
-	if len(tktA.Remote) != 1 || tktA.Remote[0].GUID != fb.GUID() {
-		t.Fatalf("A's remote member table: %+v", tktA.Remote)
-	}
-	// Both worlds have one launch-time rank, so the first admitted peer
-	// gets local index 1 on each side.
-	if len(worldsA) != 1 || worldsA[0] != 1 || len(worldsB) != 1 || worldsB[0] != 1 {
-		t.Fatalf("admitted peer indices: A=%v B=%v", worldsA, worldsB)
-	}
-	if fa.Size() != 2 || fb.Size() != 2 {
-		t.Fatalf("fabric sizes after admit: A=%d B=%d", fa.Size(), fb.Size())
-	}
-	if fa.Epoch() == 0 || fb.Epoch() == 0 {
-		t.Fatalf("epochs did not advance: A=%d B=%d", fa.Epoch(), fb.Epoch())
-	}
+		if tktA.AcceptSide != true || tktB.AcceptSide != false {
+			t.Fatalf("accept-side flags: A=%v B=%v", tktA.AcceptSide, tktB.AcceptSide)
+		}
+		if tktA.RemoteCtxCand != 20 || tktB.RemoteCtxCand != 10 {
+			t.Fatalf("context candidates: A saw %d, B saw %d", tktA.RemoteCtxCand, tktB.RemoteCtxCand)
+		}
+		if len(tktA.Remote) != 1 || tktA.Remote[0].GUID != fb.GUID() {
+			t.Fatalf("A's remote member table: %+v", tktA.Remote)
+		}
+		// Both worlds have one launch-time rank, so the first admitted peer
+		// gets local index 1 on each side.
+		if len(worldsA) != 1 || worldsA[0] != 1 || len(worldsB) != 1 || worldsB[0] != 1 {
+			t.Fatalf("admitted peer indices: A=%v B=%v", worldsA, worldsB)
+		}
+		if fa.Size() != 2 || fb.Size() != 2 {
+			t.Fatalf("fabric sizes after admit: A=%d B=%d", fa.Size(), fb.Size())
+		}
+		if fa.Epoch() == 0 || fb.Epoch() == 0 {
+			t.Fatalf("epochs did not advance: A=%d B=%d", fa.Epoch(), fb.Epoch())
+		}
+	})
 }
 
 func TestFrameSourceRewrittenAcrossLink(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	_, worldsB, _, _ := join(t, fa, fb, 0, 0)
+	twoFabrics(t, func(t *testing.T, fa, fb *Fabric) {
+		_, worldsB, _, _ := join(t, fa, fb, 0, 0)
 
-	// B sends a frame stamped with its own world rank (0 in its world);
-	// A must receive it stamped with B's local index in A's numbering.
-	frame := transport.GetBuf(16)[:16]
-	for i := range frame {
-		frame[i] = 0
-	}
-	frame[0] = 6 // an arbitrary kind byte; [1:5) is the source rank
-	if err := fb.Send(worldsB[0], frame); err != nil {
-		t.Fatalf("Send over dyn link: %v", err)
-	}
-	got, err := fa.Recv()
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	defer got.Release()
-	if len(got.Data) != 16 {
-		t.Fatalf("frame length %d, want 16", len(got.Data))
-	}
-	src := int(uint32(got.Data[1]) | uint32(got.Data[2])<<8 | uint32(got.Data[3])<<16 | uint32(got.Data[4])<<24)
-	if src != 1 {
-		t.Fatalf("received frame source %d, want the sender's local index 1", src)
-	}
+		// B sends a frame stamped with its own world rank (0 in its world);
+		// A must receive it stamped with B's local index in A's numbering.
+		frame := transport.GetBuf(16)[:16]
+		for i := range frame {
+			frame[i] = 0
+		}
+		frame[0] = 6 // an arbitrary kind byte; [1:5) is the source rank
+		if err := fb.Send(worldsB[0], frame); err != nil {
+			t.Fatalf("Send over dyn link: %v", err)
+		}
+		got, err := fa.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		defer got.Release()
+		if len(got.Data) != 16 {
+			t.Fatalf("frame length %d, want 16", len(got.Data))
+		}
+		src := int(uint32(got.Data[1]) | uint32(got.Data[2])<<8 | uint32(got.Data[3])<<16 | uint32(got.Data[4])<<24)
+		if src != 1 {
+			t.Fatalf("received frame source %d, want the sender's local index 1", src)
+		}
+	})
 }
 
 func TestPeerLossSurfacesAsPeerLostError(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	join(t, fa, fb, 0, 0)
+	twoFabrics(t, func(t *testing.T, fa, fb *Fabric) {
+		join(t, fa, fb, 0, 0)
 
-	fb.Close()
-	got, err := fa.Recv()
-	if err == nil {
-		got.Release()
-		t.Fatalf("Recv returned a frame after peer close; want PeerLostError")
-	}
-	var pl *transport.PeerLostError
-	if !errors.As(err, &pl) {
-		t.Fatalf("Recv error %v, want PeerLostError", err)
-	}
-	if pl.Peer != 1 {
-		t.Fatalf("lost peer %d, want local index 1", pl.Peer)
-	}
+		fb.Close()
+		got, err := fa.Recv()
+		if err == nil {
+			got.Release()
+			t.Fatalf("Recv returned a frame after peer close; want PeerLostError")
+		}
+		var pl *transport.PeerLostError
+		if !errors.As(err, &pl) {
+			t.Fatalf("Recv error %v, want PeerLostError", err)
+		}
+		if pl.Peer != 1 {
+			t.Fatalf("lost peer %d, want local index 1", pl.Peer)
+		}
+		// Exactly one report: the next Recv stays blocked until our own
+		// Close ends the stream.
+		next := make(chan error, 1)
+		go func() {
+			got, err := fa.Recv()
+			got.Release()
+			next <- err
+		}()
+		select {
+		case err := <-next:
+			t.Fatalf("second Recv after the loss returned %v", err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		fa.Close()
+		if err := <-next; !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("Recv after Close = %v, want ErrClosed", err)
+		}
+		if _, err := fa.Admit(&Ticket{Remote: []Member{{GUID: fb.GUID()}}}, time.Second); !errors.As(err, &pl) {
+			t.Fatalf("re-admitting the lost peer = %v, want PeerLostError", err)
+		}
+	})
 }
 
 func TestDialRejectedOnStaleEpochAndBadKey(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	addrB, err := fb.EnsureListener()
-	if err != nil {
-		t.Fatalf("EnsureListener(B): %v", err)
-	}
-	memB := []Member{{GUID: fb.GUID(), Addr: addrB}}
+	twoFabrics(t, func(t *testing.T, fa, fb *Fabric) {
+		addrB, err := fb.EnsureListener()
+		if err != nil {
+			t.Fatalf("EnsureListener(B): %v", err)
+		}
+		memB := []Member{{GUID: fb.GUID(), Addr: addrB}}
 
-	port, err := fa.OpenPort()
-	if err != nil {
-		t.Fatalf("OpenPort: %v", err)
-	}
-	addrA, _, key, err := ParsePortName(port.Name())
-	if err != nil {
-		t.Fatalf("parsing own port name: %v", err)
-	}
+		port, err := fa.OpenPort()
+		if err != nil {
+			t.Fatalf("OpenPort: %v", err)
+		}
+		addrA, _, key, err := ParsePortName(port.Name())
+		if err != nil {
+			t.Fatalf("parsing own port name: %v", err)
+		}
 
-	// Wrong capability key: refused.
-	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch(), "deadbeef"), memB, 0, 2*time.Second); err == nil {
-		t.Fatalf("dial with a wrong key succeeded")
-	}
-	// Stale epoch (port minted before a world grew): refused.
-	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch()+7, key), memB, 0, 2*time.Second); err == nil {
-		t.Fatalf("dial with a stale epoch succeeded")
-	}
-	port.Close()
-	// Closed port: refused.
-	if _, err := fb.DialLeader(port.Name(), memB, 0, 2*time.Second); err == nil {
-		t.Fatalf("dial to a closed port succeeded")
-	}
+		// Wrong capability key: refused.
+		if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch(), "deadbeef"), memB, 0, 2*time.Second); err == nil {
+			t.Fatalf("dial with a wrong key succeeded")
+		}
+		// Stale epoch (port minted before a world grew): refused.
+		if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch()+7, key), memB, 0, 2*time.Second); err == nil {
+			t.Fatalf("dial with a stale epoch succeeded")
+		}
+		port.Close()
+		// Closed port: refused.
+		if _, err := fb.DialLeader(port.Name(), memB, 0, 2*time.Second); err == nil {
+			t.Fatalf("dial to a closed port succeeded")
+		}
+	})
 }
 
 func TestDeviceStatsGrowDynEntry(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	_, worldsB, _, _ := join(t, fa, fb, 0, 0)
+	twoFabrics(t, func(t *testing.T, fa, fb *Fabric) {
+		_, worldsB, _, _ := join(t, fa, fb, 0, 0)
 
-	frame := transport.GetBuf(8)[:8]
-	for i := range frame {
-		frame[i] = 0
-	}
-	if err := fb.Send(worldsB[0], frame); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	got, err := fa.Recv()
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	got.Release()
+		frame := transport.GetBuf(8)[:8]
+		for i := range frame {
+			frame[i] = 0
+		}
+		if err := fb.Send(worldsB[0], frame); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		got, err := fa.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		got.Release()
 
-	found := false
-	for _, ds := range fa.DeviceStats() {
-		if ds.Name == "dyn" {
-			found = true
-			if ds.FramesRecv == 0 {
-				t.Fatalf("dyn stats counted no received frames: %+v", ds)
+		found := false
+		for _, ds := range fa.DeviceStats() {
+			if ds.Name == "dyn" {
+				found = true
+				if ds.FramesRecv == 0 {
+					t.Fatalf("dyn stats counted no received frames: %+v", ds)
+				}
 			}
 		}
-	}
-	if !found {
-		names := []string{}
-		for _, ds := range fa.DeviceStats() {
-			names = append(names, ds.Name)
+		if !found {
+			names := []string{}
+			for _, ds := range fa.DeviceStats() {
+				names = append(names, ds.Name)
+			}
+			t.Fatalf("no dyn device entry in stats (have %s)", strings.Join(names, ", "))
 		}
-		t.Fatalf("no dyn device entry in stats (have %s)", strings.Join(names, ", "))
-	}
+	})
 }

@@ -1,7 +1,6 @@
 package dynproc
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -12,49 +11,56 @@ import (
 	"gompi/internal/transport"
 )
 
-// link is one admitted dynamic peer: a single TCP connection carrying
-// exactly the tcp device's wire framing.
+// link is one admitted dynamic peer: a socket link whose frames arrive
+// stamped with the sender's own world rank — meaningless here — and are
+// rewritten to this process's index for the peer before they reach the
+// engine, so envelope matching and reply routing see a coherent local
+// world.
 type link struct {
 	*transport.FramedConn
-	guid string
-	dead atomic.Bool
+	idx int32
 }
 
-func newLink(c net.Conn, guid string) *link {
-	return &link{FramedConn: transport.NewFramedConn(c), guid: guid}
+// Recv reads the next frame and rewrites its source. A frame too short
+// to carry one passes through untouched; the engine drops it as
+// malformed.
+func (l *link) Recv() (transport.Frame, error) {
+	fr, err := l.FramedConn.Recv()
+	if err == nil {
+		core.PatchFrameSource(fr.Data, l.idx) //nolint:errcheck // see above
+	}
+	return fr, err
 }
 
-// Fabric is the dynamic-process device decorator. Ranks below baseSize
-// are the original world and route through the wrapped base device;
-// every admitted late joiner gets the next local index and a dedicated
-// socket link. One pump goroutine merges base traffic into the same
-// inbox the link read loops feed, so the engine above sees a single
-// Device whose Size grows.
+// DeviceStats reports the link's traffic under the "dyn" medium name.
+func (l *link) DeviceStats() []transport.DevStats {
+	s := l.FramedConn.DeviceStats()
+	s[0].Name = "dyn"
+	return s
+}
+
+// Fabric is the dynamic-process admission layer over a growable
+// transport.Hybrid. Ranks below the launch-time size keep their routes;
+// every admitted late joiner becomes the next rank of the Hybrid's
+// route table, carried by its own socket link, so the engine above sees
+// a single Device whose Size grows. The Fabric itself only admits: the
+// rendezvous listener, ports, joins, the world epoch and the GUIDs of
+// admitted peers.
 type Fabric struct {
-	base     transport.Device
-	baseSize int
-	guid     string
+	*transport.Hybrid
+	guid string
 
-	inbox      chan transport.Frame
-	fail       chan error
-	done       chan struct{}
-	baseClosed chan struct{} // base device reached end-of-stream on its own
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup // accept loop
 
 	mu     sync.Mutex
 	ln     net.Listener
 	lnAddr string
-	peers  []*link // dynamic peers; world index = baseSize + slice index
-	byGUID map[string]int
+	byGUID map[string]*link
 	epoch  int
 	ports  map[string]*Port // capability key → open port
 	joins  map[uint64]*pendingJoin
-
-	size atomic.Int64
-
-	framesSent, framesRecv atomic.Uint64
-	bytesSent, bytesRecv   atomic.Uint64
 
 	// rec is the rank's flight recorder (nil = tracing disabled); the
 	// join/admit handshakes record spans on it. Set once at wiring
@@ -64,23 +70,23 @@ type Fabric struct {
 	spanSeq atomic.Uint32
 }
 
-// NewFabric wraps base. The pump starts immediately: frames cost one
-// extra channel hop whether or not the world ever grows, in exchange
-// for a data path with no mode switch to race against.
-func NewFabric(base transport.Device) *Fabric {
-	f := &Fabric{
-		base:       base,
-		baseSize:   base.Size(),
-		guid:       newGUID(),
-		inbox:      make(chan transport.Frame, transport.DefaultInboxDepth),
-		fail:       make(chan error, 64),
-		done:       make(chan struct{}),
-		baseClosed: make(chan struct{}),
+// NewFabric builds the fabric over base. A base that is already a
+// Hybrid (a socket mesh, a multi-node table) is grown in place; any
+// other device becomes the single link of a new Hybrid that routes every
+// launch-time rank, self included, through it.
+func NewFabric(base transport.Device) (*Fabric, error) {
+	h, ok := base.(*transport.Hybrid)
+	if !ok {
+		route := make([]transport.Link, base.Size())
+		for r := range route {
+			route[r] = base
+		}
+		var err error
+		if h, err = transport.NewHybrid(base.Rank(), route); err != nil {
+			return nil, err
+		}
 	}
-	f.size.Store(int64(f.baseSize))
-	f.wg.Add(1)
-	go f.pump()
-	return f
+	return &Fabric{Hybrid: h, guid: newGUID(), done: make(chan struct{})}, nil
 }
 
 // GUID returns this process endpoint's globally unique id.
@@ -105,198 +111,6 @@ func (f *Fabric) Epoch() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.epoch
-}
-
-// BaseSize returns the size of the original (launch-time) world.
-func (f *Fabric) BaseSize() int { return f.baseSize }
-
-// Rank returns this endpoint's world rank. Original ranks keep their
-// launch-time numbers forever; the fabric only ever appends.
-func (f *Fabric) Rank() int { return f.base.Rank() }
-
-// Size returns the current world size as this process sees it:
-// baseSize plus every dynamic peer admitted so far.
-func (f *Fabric) Size() int { return int(f.size.Load()) }
-
-// Unwrap exposes the wrapped base device to stats queries and tests.
-func (f *Fabric) Unwrap() transport.Device { return f.base }
-
-func (f *Fabric) linkAt(dst int) *link {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	i := dst - f.baseSize
-	if i < 0 || i >= len(f.peers) {
-		return nil
-	}
-	return f.peers[i]
-}
-
-// Send delivers a contiguous frame; dynamic destinations go over the
-// peer link with the tcp wire framing.
-func (f *Fabric) Send(dst int, frame []byte) error {
-	if dst < f.baseSize {
-		return f.base.Send(dst, frame)
-	}
-	l := f.linkAt(dst)
-	if l == nil {
-		return fmt.Errorf("dynproc: no link to peer %d (world size %d)", dst, f.Size())
-	}
-	if l.dead.Load() {
-		return &transport.PeerLostError{Peer: dst}
-	}
-	if err := l.WriteFrame(frame, nil); err != nil {
-		return &transport.PeerLostError{Peer: dst, Err: err}
-	}
-	f.countSend(len(frame))
-	return nil
-}
-
-// Sendv is the scatter-gather send toward either half of the world.
-func (f *Fabric) Sendv(dst int, hdr, payload []byte, recycle bool) error {
-	if dst < f.baseSize {
-		return f.base.Sendv(dst, hdr, payload, recycle)
-	}
-	l := f.linkAt(dst)
-	release := func() {
-		transport.PutBuf(hdr)
-		if recycle {
-			transport.PutBuf(payload)
-		}
-	}
-	if l == nil {
-		release()
-		return fmt.Errorf("dynproc: no link to peer %d (world size %d)", dst, f.Size())
-	}
-	if l.dead.Load() {
-		release()
-		return &transport.PeerLostError{Peer: dst}
-	}
-	err := l.WriteFrame(hdr, payload)
-	n := len(hdr) + len(payload)
-	release()
-	if err != nil {
-		return &transport.PeerLostError{Peer: dst, Err: err}
-	}
-	f.countSend(n)
-	return nil
-}
-
-// Recv returns the next frame from the whole world — base device or any
-// dynamic link — or a PeerLostError when either half loses a peer.
-func (f *Fabric) Recv() (transport.Frame, error) {
-	// Frames already received win over failure reports.
-	select {
-	case fr := <-f.inbox:
-		return fr, nil
-	default:
-	}
-	select {
-	case fr := <-f.inbox:
-		return fr, nil
-	case err := <-f.fail:
-		return transport.Frame{}, err
-	case <-f.baseClosed:
-		// The base device died under us (e.g. fault injection closing
-		// the endpoint): behave as it would — drain what arrived, then
-		// report end-of-stream persistently.
-		select {
-		case fr := <-f.inbox:
-			return fr, nil
-		case err := <-f.fail:
-			return transport.Frame{}, err
-		default:
-			return transport.Frame{}, transport.ErrClosed
-		}
-	case <-f.done:
-		select {
-		case fr := <-f.inbox:
-			return fr, nil
-		default:
-			return transport.Frame{}, transport.ErrClosed
-		}
-	}
-}
-
-// pump forwards the base device's traffic into the fabric inbox.
-// Peer-loss reports pass through and pumping continues (the base
-// device stays usable for its surviving peers); any other base error is
-// terminal for the base and forwarded once.
-func (f *Fabric) pump() {
-	defer f.wg.Done()
-	for {
-		fr, err := f.base.Recv()
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				// Surface the closure to the engine: blocked and future
-				// Recv calls must see ErrClosed just as they would on
-				// the bare device, not hang on an idle inbox.
-				close(f.baseClosed)
-				return
-			}
-			var pl *transport.PeerLostError
-			recoverable := errors.As(err, &pl)
-			select {
-			case f.fail <- err:
-			case <-f.done:
-				return
-			}
-			if !recoverable {
-				return
-			}
-			continue
-		}
-		select {
-		case f.inbox <- fr:
-		case <-f.done:
-			fr.Release()
-			return
-		}
-	}
-}
-
-// readLoop drains one dynamic link. Before a frame reaches the engine
-// its sender-stamped source rank — the sender's own index for itself,
-// meaningless here — is rewritten to this process's index for the peer,
-// so envelope matching and reply routing see a coherent local world.
-func (f *Fabric) readLoop(idx int, l *link) {
-	defer f.wg.Done()
-	for {
-		buf, err := l.ReadFrame()
-		if err != nil {
-			f.linkLost(idx, l, err)
-			return
-		}
-		if err := core.PatchFrameSource(buf, int32(idx)); err != nil {
-			transport.PutBuf(buf)
-			f.linkLost(idx, l, err)
-			return
-		}
-		f.countRecv(len(buf))
-		select {
-		case f.inbox <- transport.PooledFrame(buf, nil, true, false):
-		case <-f.done:
-			transport.PutBuf(buf)
-			return
-		}
-	}
-}
-
-// linkLost marks a dynamic link dead and reports the peer once, unless
-// the fabric itself is shutting down.
-func (f *Fabric) linkLost(idx int, l *link, err error) {
-	if l.dead.Swap(true) {
-		return
-	}
-	l.Close()
-	select {
-	case <-f.done:
-		return
-	default:
-	}
-	select {
-	case f.fail <- &transport.PeerLostError{Peer: idx, Err: err}:
-	case <-f.done:
-	}
 }
 
 // EnsureListener starts the rendezvous listener on first use and
@@ -325,14 +139,14 @@ func (f *Fabric) EnsureListener() (string, error) {
 }
 
 // Close tears the fabric down: rendezvous listener, open ports, parked
-// joins, every dynamic link, then the base device. Blocked Recv calls
-// return ErrClosed.
+// joins, then the Hybrid with every link. Blocked Recv calls return
+// ErrClosed.
 func (f *Fabric) Close() error {
+	var err error
 	f.closeOnce.Do(func() {
 		close(f.done)
 		f.mu.Lock()
 		ln := f.ln
-		peers := append([]*link(nil), f.peers...)
 		ports := f.ports
 		joins := f.joins
 		f.ports = nil
@@ -347,48 +161,10 @@ func (f *Fabric) Close() error {
 		for _, pj := range joins {
 			pj.closeAll()
 		}
-		for _, l := range peers {
-			l.dead.Store(true)
-			l.Close()
-		}
-		f.base.Close()
+		err = f.Hybrid.Close()
 		f.wg.Wait()
 	})
-	return nil
+	return err
 }
 
-func (f *Fabric) countSend(n int) {
-	f.framesSent.Add(1)
-	f.bytesSent.Add(uint64(n))
-}
-
-func (f *Fabric) countRecv(n int) {
-	f.framesRecv.Add(1)
-	f.bytesRecv.Add(uint64(n))
-}
-
-// DeviceStats reports the base device's media plus, once any dynamic
-// traffic or peer exists, a "dyn" entry for the late-joiner links.
-func (f *Fabric) DeviceStats() []transport.DevStats {
-	out := transport.DeviceStatsOf(f.base)
-	f.mu.Lock()
-	active := len(f.peers) > 0
-	f.mu.Unlock()
-	if active || f.framesSent.Load() > 0 || f.framesRecv.Load() > 0 {
-		out = append(out, transport.DevStats{
-			Name:       "dyn",
-			FramesSent: f.framesSent.Load(),
-			FramesRecv: f.framesRecv.Load(),
-			BytesSent:  f.bytesSent.Load(),
-			BytesRecv:  f.bytesRecv.Load(),
-			Pool:       transport.PoolStats(),
-		})
-	}
-	return out
-}
-
-var (
-	_ transport.Device        = (*Fabric)(nil)
-	_ transport.StatsReporter = (*Fabric)(nil)
-	_ transport.Unwrapper     = (*Fabric)(nil)
-)
+var _ transport.Device = (*Fabric)(nil)

@@ -426,35 +426,26 @@ func (f *Fabric) dialJoin(addr string, id uint64, deadline time.Time) (net.Conn,
 func (f *Fabric) lookupGUID(guid string) (idx int, alive, known bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	idx, known = f.byGUID[guid]
+	l, known := f.byGUID[guid]
 	if !known {
 		return 0, false, false
 	}
-	return idx, !f.peers[idx-f.baseSize].dead.Load(), true
+	return int(l.idx), !l.Lost(), true
 }
 
-// attach admits one connection as the next dynamic peer and starts its
-// read loop.
+// attach admits one connection as the next rank of the world.
 func (f *Fabric) attach(guid string, c net.Conn) (int, error) {
 	f.mu.Lock()
-	select {
-	case <-f.done:
-		f.mu.Unlock()
-		c.Close()
-		return 0, transport.ErrClosed
-	default:
+	defer f.mu.Unlock()
+	idx := f.Size()
+	l := &link{FramedConn: transport.NewFramedConn(c, idx), idx: int32(idx)}
+	if err := f.Attach(idx, l); err != nil {
+		return 0, err
 	}
-	l := newLink(c, guid)
-	idx := f.baseSize + len(f.peers)
-	f.peers = append(f.peers, l)
 	if f.byGUID == nil {
-		f.byGUID = map[string]int{}
+		f.byGUID = map[string]*link{}
 	}
-	f.byGUID[guid] = idx
-	f.size.Store(int64(f.baseSize + len(f.peers)))
-	f.wg.Add(1)
-	f.mu.Unlock()
-	go f.readLoop(idx, l)
+	f.byGUID[guid] = l
 	return idx, nil
 }
 

@@ -93,9 +93,10 @@ func init() {
 	})
 }
 
-// joinMesh is the worker side of the socket rendezvous, optionally
-// skipping peers another medium reaches.
-func joinMesh(s transport.JobSpec, skip []bool) (*transport.TCPDevice, error) {
+// joinMesh is the worker side of the socket rendezvous: it opens this
+// rank's mesh listener, registers with the coordinator, waits for the
+// address table and links every peer route does not already name.
+func joinMesh(s transport.JobSpec, route []transport.Link) (*transport.Hybrid, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("launch: mesh listener: %w", err)
@@ -105,16 +106,16 @@ func joinMesh(s transport.JobSpec, skip []bool) (*transport.TCPDevice, error) {
 		ln.Close()
 		return nil, err
 	}
-	dev, err := transport.ConnectPartialMesh(s.Rank, s.Size, addrs, ln, true, skip)
+	dev, err := transport.ConnectMesh(s.Rank, addrs, ln, route)
 	if err != nil {
 		return nil, fmt.Errorf("launch: mesh: %w", err)
 	}
 	return dev, nil
 }
 
-// newHybridDevice composes the per-peer fabric of a multi-node rank:
-// the shared-memory island for same-node peers, a partial socket mesh
-// for everyone else, one Device to the engine.
+// newHybridDevice builds the flat route table of a multi-node rank: the
+// shared-memory island for itself and its same-node peers, one socket
+// link for everyone else.
 func newHybridDevice(s transport.JobSpec) (transport.Device, error) {
 	seg, err := shmipc.Open(s.Segment, 10*time.Second)
 	if err != nil {
@@ -124,25 +125,19 @@ func newHybridDevice(s transport.JobSpec) (transport.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	local := s.LocalPeers()
-	skip := make([]bool, s.Size)
-	for r := range skip {
-		skip[r] = local[r]
+	route := make([]transport.Link, s.Size)
+	route[s.Rank] = island
+	for _, r := range s.SegmentRanks {
+		if r >= 0 && r < s.Size {
+			route[r] = island
+		}
 	}
-	mesh, err := joinMesh(s, skip)
+	dev, err := joinMesh(s, route)
 	if err != nil {
 		island.Close()
 		return nil, err
 	}
-	route := make([]transport.Device, s.Size)
-	for r := range route {
-		if local[r] || r == s.Rank {
-			route[r] = island
-		} else {
-			route[r] = mesh
-		}
-	}
-	return transport.NewHybrid(s.Rank, s.Size, route)
+	return dev, nil
 }
 
 // newAutoDevice picks the fastest fabric the launcher provisioned: a

@@ -27,7 +27,7 @@ func TestCoordinateAndJoin(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			d, err := Join(ln.Addr().String(), r, n)
+			d, err := joinMesh(transport.JobSpec{Rank: r, Size: n, Coord: ln.Addr().String()}, nil)
 			if err != nil {
 				errs[r] = err
 				return
@@ -114,7 +114,7 @@ func TestJoinSizeMismatch(t *testing.T) {
 		gob.NewDecoder(c).Decode(&h)                            //nolint:errcheck
 		gob.NewEncoder(c).Encode(table{Addrs: []string{"one"}}) //nolint:errcheck
 	}()
-	if _, err := Join(ln.Addr().String(), 0, 3); err == nil {
-		t.Fatal("Join accepted a short address table")
+	if _, err := joinMesh(transport.JobSpec{Rank: 0, Size: 3, Coord: ln.Addr().String()}, nil); err == nil {
+		t.Fatal("joinMesh accepted a short address table")
 	}
 }

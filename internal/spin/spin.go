@@ -1,6 +1,6 @@
 // Package spin provides microsecond-accurate delay primitives.
 //
-// The benchmark calibration profiles (see DESIGN.md) inject artificial
+// The benchmark calibration profiles (internal/bench/calib.go) inject artificial
 // per-call and per-message costs — the JNI-crossing cost model and the
 // 10BaseT link emulation — whose magnitudes are a few tens to a few
 // hundreds of microseconds. time.Sleep alone is too coarse at that scale

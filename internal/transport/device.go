@@ -2,15 +2,21 @@
 // the analogue of MPICH's abstract device interface / the p4 layer under
 // WMPI in the paper. A Device moves opaque, framed byte messages between
 // the processes of a job with reliable, per-(sender,receiver) FIFO
-// ordering. Two devices are provided:
+// ordering. The media are:
 //
-//   - shm: in-process channels; the paper's Shared Memory (SM) mode,
-//     multiple ranks within one machine (here: one address space).
-//   - tcp: a socket mesh; the paper's Distributed Memory (DM) mode.
+//   - chan: in-process channels (ShmDevice); the paper's Shared Memory
+//     (SM) mode, every rank a goroutine of one address space.
+//   - shm: a cross-process shared-memory segment (package shmipc).
+//   - tcp: one socket link (FramedConn) per peer; the paper's
+//     Distributed Memory (DM) mode.
 //
-// A Shaped wrapper adds per-message software cost, link latency and a
-// bandwidth cap so benchmarks can emulate the paper's 1999 testbed
-// (10BaseT Ethernet, WMPI-vs-MPICH software paths). See DESIGN.md.
+// Hybrid is the single place where receive streams merge: a Device over
+// a route table naming the Link that carries each rank's traffic. A
+// socket mesh is a Hybrid of links, a multi-node job's table mixes an
+// shm island with links, and the dynamic-process fabric grows a table
+// as late joiners arrive. Shaped (emulated link costs for the paper's
+// 1999 testbed) and Faulty (deterministic fault injection) decorate any
+// Device.
 package transport
 
 import (

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // frameWriterSize is the per-link staging buffer: a length prefix,
@@ -14,52 +15,95 @@ import (
 // through bufio's large-write bypass without an extra copy.
 const frameWriterSize = 16 << 10
 
-// FramedConn is one socket link carrying the TCP wire framing: every
-// frame is a 4-byte little-endian length prefix followed by that many
-// bytes. Writers may call WriteFrame concurrently; ReadFrame belongs to
-// the link's single reader goroutine.
+// FramedConn is the per-peer socket link: one connection to one peer,
+// carrying the TCP wire framing — every frame is a 4-byte little-endian
+// length prefix followed by that many bytes. It is a Link, so a Hybrid
+// routes the peer's traffic through it and merges its receive stream
+// with every other route's. Senders may call Send/Sendv concurrently;
+// Recv belongs to the link's single reader (the Hybrid's pump).
 type FramedConn struct {
-	c  net.Conn
-	mu sync.Mutex // serializes frame writes
-	w  *bufio.Writer
-	lp [4]byte // reader's length-prefix scratch
+	c    net.Conn
+	peer int
+	mu   sync.Mutex // serializes frame writes
+	w    *bufio.Writer
+	lp   [4]byte // reader's length-prefix scratch
+	lost atomic.Bool
+
+	devCounters
 }
 
-// NewFramedConn wraps c, switching off Nagle's algorithm on TCP
-// connections: latency matters more than throughput here.
-func NewFramedConn(c net.Conn) *FramedConn {
+// NewFramedConn wraps c as the link to world rank peer, switching off
+// Nagle's algorithm on TCP connections: latency matters more than
+// throughput here.
+func NewFramedConn(c net.Conn, peer int) *FramedConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &FramedConn{c: c, w: bufio.NewWriterSize(c, frameWriterSize)}
+	return &FramedConn{c: c, peer: peer, w: bufio.NewWriterSize(c, frameWriterSize)}
 }
 
-// WriteFrame writes one frame as the gather of hdr and payload,
-// flushing before return so no progress logic is needed to push
-// stragglers out.
-func (fc *FramedConn) WriteFrame(hdr, payload []byte) error {
+// Send writes a contiguous frame to the peer. The frame is not
+// returned to the frame pool: a contiguous send carries no exclusivity
+// promise. dst is the peer's rank as the routing Hybrid sees it.
+func (fc *FramedConn) Send(dst int, frame []byte) error {
+	return fc.write(frame, nil)
+}
+
+// Sendv writes the (hdr, payload) gather without assembling a
+// contiguous frame; both slices go back to the frame pool once the
+// bytes are on the wire (the payload only when recycle vouches for
+// exclusive ownership).
+func (fc *FramedConn) Sendv(dst int, hdr, payload []byte, recycle bool) error {
+	err := fc.write(hdr, payload)
+	PutBuf(hdr)
+	if recycle {
+		PutBuf(payload)
+	}
+	return err
+}
+
+// write sends one frame, flushing before return so no progress logic
+// is needed to push stragglers out. A failed write means the peer is
+// unreachable.
+func (fc *FramedConn) write(hdr, payload []byte) error {
 	var lp [4]byte
-	binary.LittleEndian.PutUint32(lp[:], uint32(len(hdr)+len(payload)))
+	n := len(hdr) + len(payload)
+	binary.LittleEndian.PutUint32(lp[:], uint32(n))
 	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if _, err := fc.w.Write(lp[:]); err != nil {
-		return err
+	_, err := fc.w.Write(lp[:])
+	if err == nil {
+		_, err = fc.w.Write(hdr)
 	}
-	if _, err := fc.w.Write(hdr); err != nil {
-		return err
+	if err == nil && len(payload) > 0 {
+		_, err = fc.w.Write(payload)
 	}
-	if len(payload) > 0 {
-		if _, err := fc.w.Write(payload); err != nil {
-			return err
-		}
+	if err == nil {
+		err = fc.w.Flush()
 	}
-	return fc.w.Flush()
+	fc.mu.Unlock()
+	if err != nil {
+		return &PeerLostError{Peer: fc.peer, Err: err}
+	}
+	fc.countSend(n)
+	return nil
 }
 
-// ReadFrame reads the next frame into one pooled buffer (see GetBuf),
-// which the caller owns. On a short read the buffer goes back to the
-// pool and the read error is returned.
-func (fc *FramedConn) ReadFrame() ([]byte, error) {
+// Recv reads the next frame into one pooled buffer (see GetBuf), which
+// the caller owns; the engine parses the header in place and hands the
+// payload tail to the matching receive without another copy. The first
+// read error closes the connection and is reported as the peer's loss.
+func (fc *FramedConn) Recv() (Frame, error) {
+	buf, err := fc.read()
+	if err != nil {
+		fc.lost.Store(true)
+		fc.c.Close()
+		return Frame{}, &PeerLostError{Peer: fc.peer, Err: err}
+	}
+	fc.countRecv(len(buf))
+	return Frame{Data: buf, pooledData: true}, nil
+}
+
+func (fc *FramedConn) read() ([]byte, error) {
 	if _, err := io.ReadFull(fc.c, fc.lp[:]); err != nil {
 		return nil, err
 	}
@@ -71,5 +115,18 @@ func (fc *FramedConn) ReadFrame() ([]byte, error) {
 	return buf, nil
 }
 
-// Close closes the underlying connection, unblocking its reader.
-func (fc *FramedConn) Close() error { return fc.c.Close() }
+// Lost reports whether Recv has seen the connection fail.
+func (fc *FramedConn) Lost() bool { return fc.lost.Load() }
+
+// Close closes the connection, unblocking the reader. It never fails:
+// after a peer's loss the connection is already down.
+func (fc *FramedConn) Close() error {
+	fc.c.Close()
+	return nil
+}
+
+// DeviceStats reports the link's traffic under the "tcp" medium name;
+// its buffers come from the process-private pool.
+func (fc *FramedConn) DeviceStats() []DevStats {
+	return []DevStats{fc.devCounters.stats("tcp", PoolStats())}
+}

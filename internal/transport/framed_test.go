@@ -14,9 +14,11 @@ import (
 func TestFramedConnWireFormat(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
-	fc := NewFramedConn(a)
+	fc := NewFramedConn(a, 1)
 	go func() {
-		fc.WriteFrame([]byte("hd"), []byte("payload"))
+		hdr := GetBuf(2)
+		copy(hdr, "hd")
+		fc.Sendv(1, hdr, []byte("payload"), false)
 		fc.Close()
 	}()
 	wire, err := io.ReadAll(b)
@@ -31,24 +33,35 @@ func TestFramedConnWireFormat(t *testing.T) {
 
 func TestFramedConnRoundTripAndShortRead(t *testing.T) {
 	a, b := net.Pipe()
-	w, r := NewFramedConn(a), NewFramedConn(b)
+	w, r := NewFramedConn(a, 1), NewFramedConn(b, 0)
 	go func() {
-		w.WriteFrame([]byte("hdr"), nil)
-		w.WriteFrame([]byte("h"), bytes.Repeat([]byte{7}, 5000))
+		w.Send(1, []byte("hdr"))
+		hdr := GetBuf(1)
+		hdr[0] = 'h'
+		w.Sendv(1, hdr, bytes.Repeat([]byte{7}, 5000), false)
 		a.Write([]byte{10, 0, 0, 0, 'x'}) // promises 10 bytes, delivers 1
 		w.Close()
 	}()
-	f1, err := r.ReadFrame()
-	if err != nil || string(f1) != "hdr" {
-		t.Fatalf("frame 1 = %q, %v", f1, err)
+	f1, err := r.Recv()
+	if err != nil || string(f1.Data) != "hdr" {
+		t.Fatalf("frame 1 = %q, %v", f1.Data, err)
 	}
-	f2, err := r.ReadFrame()
-	if err != nil || len(f2) != 5001 || f2[0] != 'h' || f2[5000] != 7 {
-		t.Fatalf("frame 2: len %d, %v", len(f2), err)
+	f2, err := r.Recv()
+	if err != nil || len(f2.Data) != 5001 || f2.Data[0] != 'h' || f2.Data[5000] != 7 {
+		t.Fatalf("frame 2: len %d, %v", len(f2.Data), err)
 	}
-	PutBuf(f1)
-	PutBuf(f2)
-	if f3, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) || f3 != nil {
-		t.Fatalf("short frame = %q, %v; want nil, ErrUnexpectedEOF", f3, err)
+	f1.Release()
+	f2.Release()
+	if r.Lost() {
+		t.Fatal("link lost before its stream failed")
+	}
+	// The short frame is the link's first read error: the peer's loss.
+	f3, err := r.Recv()
+	var pl *PeerLostError
+	if !errors.As(err, &pl) || pl.Peer != 0 || !errors.Is(err, io.ErrUnexpectedEOF) || f3.Data != nil {
+		t.Fatalf("short frame = %q, %v; want PeerLostError{Peer: 0} wrapping ErrUnexpectedEOF", f3.Data, err)
+	}
+	if !r.Lost() {
+		t.Fatal("Lost() false after the read error")
 	}
 }

@@ -32,16 +32,6 @@ type JobSpec struct {
 	InboxDepth int
 }
 
-// LocalPeers reports whether world rank r is reachable through the
-// spec's shared segment.
-func (s JobSpec) LocalPeers() map[int]bool {
-	m := make(map[int]bool, len(s.SegmentRanks))
-	for _, r := range s.SegmentRanks {
-		m[r] = true
-	}
-	return m
-}
-
 // Entry is one registered device medium.
 type Entry struct {
 	// Name is the registry key (the -device flag value).
@@ -160,7 +150,7 @@ type Unwrapper interface {
 
 // DeviceStatsOf returns the per-medium counters of d, looking through
 // decorators. Devices predating the counter surface report nothing.
-func DeviceStatsOf(d Device) []DevStats {
+func DeviceStatsOf(d Link) []DevStats {
 	for d != nil {
 		if sr, ok := d.(StatsReporter); ok {
 			return sr.DeviceStats()

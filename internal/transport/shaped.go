@@ -9,7 +9,7 @@ import (
 
 // LinkProfile describes the artificial costs a Shaped device injects per
 // frame. It is the knob set the benchmark calibration uses to emulate the
-// paper's 1999 testbed (DESIGN.md §2): per-message software cost models
+// paper's 1999 testbed (internal/bench/calib.go): per-message software cost models
 // the MPI implementation's send path (WMPI optimized vs MPICH portable),
 // StagingCopy models MPICH's extra buffer copy, and Latency/BytesPerSec
 // model the 10BaseT Ethernet link of DM mode.

@@ -390,7 +390,7 @@ func TestHybridOverProcJob(t *testing.T) {
 
 	hybrids := make([]transport.Device, 4)
 	for r := 0; r < 4; r++ {
-		route := make([]transport.Device, 4)
+		route := make([]transport.Link, 4)
 		var local transport.Device
 		if r < 2 {
 			local = island0[r]
@@ -404,7 +404,7 @@ func TestHybridOverProcJob(t *testing.T) {
 				route[p] = bridge[r]
 			}
 		}
-		h, err := transport.NewHybrid(r, 4, route)
+		h, err := transport.NewHybrid(r, route)
 		if err != nil {
 			t.Fatal(err)
 		}

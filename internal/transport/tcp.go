@@ -9,99 +9,74 @@ import (
 	"time"
 )
 
-// TCPDevice is one endpoint of a socket-mesh job: the paper's Distributed
-// Memory (DM) mode. Every pair of ranks shares one TCP connection
-// carrying length-prefixed frames; per-pair FIFO ordering follows from
-// TCP's byte-stream ordering plus a per-connection writer lock.
-type TCPDevice struct {
-	rank, size int
-	peers      []*FramedConn // indexed by rank; nil at own rank
-	ln         net.Listener
-	ownsLn     bool
-
-	inbox chan Frame
-	// fail carries peer-loss reports out of the read loops: a
-	// connection that dies mid-stream surfaces as PeerLostError from
-	// Recv instead of a silent stall, so receives pending on that peer
-	// fail with an MPI error class rather than hanging.
-	fail      chan error
-	done      chan struct{}
-	closeOnce sync.Once
-	readers   sync.WaitGroup
-
-	devCounters
-}
+// The socket mesh is the paper's Distributed Memory (DM) mode: every
+// pair of ranks shares one TCP connection, a FramedConn, and this
+// rank's endpoint is a Hybrid routing each peer over its link. Per-pair
+// FIFO ordering follows from TCP's byte-stream ordering plus the link's
+// writer lock.
 
 const meshMagic = 0x6d706a31 // "mpj1"
 
-// ConnectMesh builds the full connection mesh for one rank of a size-rank
-// job. addrs[i] is the listen address of rank i's listener; ln is this
-// rank's own listener (retained and closed by the device if ownsListener
-// is true). Rank r dials every lower rank and accepts from every higher
-// rank, identifying peers through a handshake frame, so the procedure is
-// deadlock-free regardless of scheduling.
-func ConnectMesh(rank, size int, addrs []string, ln net.Listener, ownsListener bool) (*TCPDevice, error) {
-	return ConnectPartialMesh(rank, size, addrs, ln, ownsListener, nil)
-}
-
-// ConnectPartialMesh is ConnectMesh restricted to a peer subset: ranks
-// with skip[r] set get no connection (a hybrid job reaches them through
-// another medium). A nil skip connects everyone. Sends toward a skipped
-// rank fail with ErrClosed.
-func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsListener bool, skip []bool) (*TCPDevice, error) {
-	if len(addrs) != size {
-		return nil, fmt.Errorf("transport: %d addresses for job size %d", len(addrs), size)
+// ConnectMesh builds this rank's socket links and returns the Hybrid
+// routing over them. addrs[i] is the listen address of rank i's
+// listener; ln is this rank's own listener, closed once every peer has
+// connected. route, when non-nil, is the table to complete: ranks it
+// already names are reached through another medium (a multi-node job's
+// shared-memory island) and get no connection, and each other peer gets
+// a link. Rank r dials every lower rank and accepts from every higher
+// rank, identifying peers through a handshake frame, so the procedure
+// is deadlock-free regardless of scheduling.
+func ConnectMesh(rank int, addrs []string, ln net.Listener, route []Link) (*Hybrid, error) {
+	defer ln.Close()
+	size := len(addrs)
+	if route == nil {
+		route = make([]Link, size)
 	}
-	skipped := func(r int) bool { return skip != nil && r < len(skip) && skip[r] }
-	d := &TCPDevice{
-		rank:   rank,
-		size:   size,
-		peers:  make([]*FramedConn, size),
-		ln:     ln,
-		ownsLn: ownsListener,
-		inbox:  make(chan Frame, DefaultInboxDepth),
-		fail:   make(chan error, size),
-		done:   make(chan struct{}),
+	if len(route) != size || rank < 0 || rank >= size {
+		return nil, fmt.Errorf("transport: rank %d of a %d-address mesh with a %d-rank route", rank, size, len(route))
+	}
+	need := make([]bool, size) // peers this mesh links
+	for r := range route {
+		need[r] = r != rank && route[r] == nil
+	}
+	fail := func(err error) (*Hybrid, error) {
+		for r, l := range route {
+			if need[r] && l != nil {
+				l.Close()
+			}
+		}
+		return nil, err
 	}
 	// Dial lower ranks.
 	for j := 0; j < rank; j++ {
-		if skipped(j) {
+		if !need[j] {
 			continue
 		}
 		c, err := dialPeer(addrs[j], rank)
 		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, j, err)
+			return fail(fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, j, err))
 		}
-		d.peers[j] = NewFramedConn(c)
+		route[j] = NewFramedConn(c, j)
 	}
 	// Accept higher ranks.
-	need := 0
+	accept := 0
 	for r := rank + 1; r < size; r++ {
-		if !skipped(r) {
-			need++
+		if need[r] {
+			accept++
 		}
 	}
-	for ; need > 0; need-- {
+	for ; accept > 0; accept-- {
 		c, peer, err := acceptPeer(ln)
 		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d accepting: %w", rank, err)
+			return fail(fmt.Errorf("transport: rank %d accepting: %w", rank, err))
 		}
-		if peer <= rank || peer >= size || skipped(peer) || d.peers[peer] != nil {
+		if peer <= rank || peer >= size || !need[peer] || route[peer] != nil {
 			c.Close()
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer)
+			return fail(fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer))
 		}
-		d.peers[peer] = NewFramedConn(c)
+		route[peer] = NewFramedConn(c, peer)
 	}
-	for r, p := range d.peers {
-		if p != nil {
-			d.readers.Add(1)
-			go d.readLoop(r, p)
-		}
-	}
-	return d, nil
+	return NewHybrid(rank, route)
 }
 
 func dialPeer(addr string, myRank int) (net.Conn, error) {
@@ -149,7 +124,7 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 // NewLoopbackJob creates an n-rank DM-mode job entirely in-process over
 // 127.0.0.1, for tests and benchmarks: real sockets, real wire framing,
 // no separate OS processes.
-func NewLoopbackJob(n int) ([]*TCPDevice, error) {
+func NewLoopbackJob(n int) ([]*Hybrid, error) {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -163,14 +138,14 @@ func NewLoopbackJob(n int) ([]*TCPDevice, error) {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	devs := make([]*TCPDevice, n)
+	devs := make([]*Hybrid, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			devs[i], errs[i] = ConnectMesh(i, n, addrs, lns[i], true)
+			devs[i], errs[i] = ConnectMesh(i, addrs, lns[i], nil)
 		}(i)
 	}
 	wg.Wait()
@@ -186,165 +161,3 @@ func NewLoopbackJob(n int) ([]*TCPDevice, error) {
 	}
 	return devs, nil
 }
-
-// Rank returns this endpoint's world rank.
-func (d *TCPDevice) Rank() int { return d.rank }
-
-// Size returns the number of ranks in the job.
-func (d *TCPDevice) Size() int { return d.size }
-
-// Send writes frame to rank dst over its mesh connection. The frame is
-// not returned to the frame pool: a legacy contiguous send carries no
-// exclusivity promise.
-func (d *TCPDevice) Send(dst int, frame []byte) error {
-	if err := checkDst(dst, d.size); err != nil {
-		return err
-	}
-	if dst == d.rank {
-		return d.selfDeliver(Frame{Data: frame})
-	}
-	p := d.peers[dst]
-	if p == nil {
-		return ErrClosed
-	}
-	if err := p.WriteFrame(frame, nil); err != nil {
-		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
-	}
-	d.countSend(len(frame))
-	return nil
-}
-
-// Sendv writes the (hdr, payload) gather to rank dst without assembling
-// a contiguous frame; both slices are recycled into the frame pool once
-// the bytes are on the wire (the payload only when the sender vouched
-// for exclusive ownership).
-func (d *TCPDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
-	if err := checkDst(dst, d.size); err != nil {
-		PutBuf(hdr)
-		if recycle {
-			PutBuf(payload)
-		}
-		return err
-	}
-	if dst == d.rank {
-		return d.selfDeliver(Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
-	}
-	p := d.peers[dst]
-	if p == nil {
-		PutBuf(hdr)
-		if recycle {
-			PutBuf(payload)
-		}
-		return ErrClosed
-	}
-	err := p.WriteFrame(hdr, payload)
-	n := len(hdr) + len(payload)
-	PutBuf(hdr)
-	if recycle {
-		PutBuf(payload)
-	}
-	if err != nil {
-		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
-	}
-	d.countSend(n)
-	return nil
-}
-
-// selfDeliver enqueues f on the local inbox, releasing its pooled
-// storage if the device is already closed and nobody will consume it.
-func (d *TCPDevice) selfDeliver(f Frame) error {
-	n := len(f.Data) + len(f.Payload)
-	select {
-	case d.inbox <- f:
-		d.countSend(n)
-		d.countRecv(n)
-		return nil
-	case <-d.done:
-		f.Release()
-		return ErrClosed
-	}
-}
-
-// Recv returns the next frame addressed to this rank, or a
-// PeerLostError when a mesh connection died mid-stream (the device
-// stays usable for the surviving peers).
-func (d *TCPDevice) Recv() (Frame, error) {
-	// Frames already received win over failure reports.
-	select {
-	case f := <-d.inbox:
-		return f, nil
-	default:
-	}
-	select {
-	case f := <-d.inbox:
-		return f, nil
-	case err := <-d.fail:
-		return Frame{}, err
-	case <-d.done:
-		select {
-		case f := <-d.inbox:
-			return f, nil
-		default:
-			return Frame{}, ErrClosed
-		}
-	}
-}
-
-// peerLost reports a dead mesh connection, unless the read error is
-// just this endpoint's own shutdown tearing connections down.
-func (d *TCPDevice) peerLost(peer int, err error) {
-	select {
-	case <-d.done:
-		return
-	default:
-	}
-	select {
-	case d.fail <- &PeerLostError{Peer: peer, Err: err}:
-	default:
-	}
-}
-
-func (d *TCPDevice) readLoop(peer int, p *FramedConn) {
-	defer d.readers.Done()
-	for {
-		// The whole frame is staged in one pooled buffer; the engine
-		// parses the header in place and hands the payload tail to the
-		// matching receive without another copy.
-		frame, err := p.ReadFrame()
-		if err != nil {
-			d.peerLost(peer, err)
-			return
-		}
-		d.countRecv(len(frame))
-		select {
-		case d.inbox <- Frame{Data: frame, pooledData: true}:
-		case <-d.done:
-			return
-		}
-	}
-}
-
-// Close tears down the mesh endpoint: the listener (if owned), all peer
-// connections, and any blocked Recv calls.
-func (d *TCPDevice) Close() error {
-	d.closeOnce.Do(func() {
-		close(d.done)
-		if d.ownsLn && d.ln != nil {
-			d.ln.Close()
-		}
-		for _, p := range d.peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	})
-	return nil
-}
-
-// DeviceStats reports this endpoint's traffic; its payload buffers come
-// from the process-private pool.
-func (d *TCPDevice) DeviceStats() []DevStats {
-	return []DevStats{d.devCounters.stats("tcp", PoolStats())}
-}
-
-var _ Device = (*TCPDevice)(nil)

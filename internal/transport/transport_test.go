@@ -243,7 +243,7 @@ func TestMeshHandshakeRejectsGarbage(t *testing.T) {
 }
 
 func TestLoopbackJobSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 5} {
+	for _, n := range []int{1, 2, 3, 5} {
 		devs, err := NewLoopbackJob(n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -257,7 +257,7 @@ func TestLoopbackJobSizes(t *testing.T) {
 		var wg sync.WaitGroup
 		for _, d := range devs {
 			wg.Add(1)
-			go func(d *TCPDevice) {
+			go func(d *Hybrid) {
 				defer wg.Done()
 				for j := 0; j < n; j++ {
 					if j != d.Rank() {
@@ -274,6 +274,16 @@ func TestLoopbackJobSizes(t *testing.T) {
 			}(d)
 		}
 		wg.Wait()
+		// The links of a mesh report as one medium.
+		for _, d := range devs {
+			st := d.DeviceStats()
+			if n == 1 && len(st) != 0 {
+				t.Fatalf("n=1: a linkless mesh reports %+v", st)
+			}
+			if n > 1 && (len(st) != 1 || st[0].Name != "tcp" || st[0].FramesRecv != uint64(n-1)) {
+				t.Fatalf("n=%d: rank %d stats %+v, want one tcp entry with %d frames received", n, d.Rank(), st, n-1)
+			}
+		}
 		for _, d := range devs {
 			d.Close()
 		}

@@ -97,12 +97,15 @@ type Env struct {
 // in the dynamic-process fabric, so the engine above can reach peers
 // admitted after launch (Connect/Accept/Spawn) exactly like launch-time
 // ones.
-func newEnv(dev transport.Device, cfg core.Config) *Env {
+func newEnv(dev transport.Device, cfg core.Config) (*Env, error) {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "localhost"
 	}
-	fab := dynproc.NewFabric(dev)
+	fab, err := dynproc.NewFabric(dev)
+	if err != nil {
+		return nil, errf(ErrIntern, "%v", err)
+	}
 	fab.SetRecorder(cfg.Recorder)
 	e := &Env{
 		proc:     core.NewProc(fab, cfg),
@@ -119,7 +122,7 @@ func newEnv(dev transport.Device, cfg core.Config) *Env {
 	e.self = newIntracomm(e, []int{dev.Rank()}, 0, 2, "MPI.COMM_SELF")
 	e.proc.CommitContexts(2) // world:(0,1) self:(2,3); counter continues at 4
 	installEnvAttrs(e.world)
-	return e
+	return e, nil
 }
 
 // CommWorld returns the all-ranks communicator (MPI.COMM_WORLD).

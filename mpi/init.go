@@ -20,7 +20,8 @@ func Init(args []string) (*Env, []string, error) {
 	sizeStr := os.Getenv(launch.EnvSize)
 	if sizeStr == "" {
 		dev := transport.NewShmJob(1, 0)[0]
-		return newEnv(dev, core.Config{Recorder: newRecorder(0, false)}), args, nil
+		env, err := newEnv(dev, core.Config{Recorder: newRecorder(0, false)})
+		return env, args, err
 	}
 	size, err := strconv.Atoi(sizeStr)
 	if err != nil || size <= 0 {
@@ -43,7 +44,8 @@ func Init(args []string) (*Env, []string, error) {
 	if err != nil {
 		return nil, args, errf(ErrIntern, "%v", err)
 	}
-	return newEnv(dev, cfg), args, nil
+	env, err := newEnv(dev, cfg)
+	return env, args, err
 }
 
 // Main runs fn as an SPMD job in whichever mode the process was

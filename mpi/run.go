@@ -13,7 +13,7 @@ import (
 )
 
 // LinkEmulation configures artificial per-message costs for benchmark
-// calibration (DESIGN.md §2): software cost per message, link latency,
+// calibration (internal/bench/calib.go): software cost per message, link latency,
 // a bandwidth cap (the 10BaseT model for DM mode) and a staging copy
 // (the portable-implementation model). The zero value injects nothing.
 type LinkEmulation struct {
@@ -93,7 +93,12 @@ func RunWith(opt RunOptions, fn func(*Env) error) error {
 	envs := make([]*Env, opt.NP)
 	for i := range envs {
 		cfg := core.Config{EagerLimit: opt.EagerLimit, Recorder: newRecorder(i, opt.Trace)}
-		envs[i] = newEnv(devs[i], cfg)
+		if envs[i], err = newEnv(devs[i], cfg); err != nil {
+			for _, d := range devs {
+				d.Close()
+			}
+			return err
+		}
 		envs[i].SetBindingOverhead(opt.BindingOverhead)
 	}
 
