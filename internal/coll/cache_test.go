@@ -217,7 +217,7 @@ func TestBlockingCacheConcurrentCallers(t *testing.T) {
 func TestBlockingCacheDropsFailedSlot(t *testing.T) {
 	const n = 3
 	runGroup(t, n, func(c *Comm) (any, error) {
-		sl := &c.slots[kindAllreduce]
+		sl := &c.slots[KindAllreduce]
 		var cached *sched
 		for i := 0; i < 3; i++ {
 			if _, err := c.Allreduce([]float64{1}, Max); err != nil {

@@ -236,8 +236,8 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 // addScatterSteps schedules the binomial-tree scatter of *parts
 // (indexed by group rank, significant at root); at completion *out
 // holds this member's block. Blocks may have different sizes, so the
-// same schedule serves Scatterv. The public entry points validate the
-// root's parts length at build time; composed schedules construct
+// same schedule serves Scatterv. validate checks the root's parts
+// length before a Scatter call is built; composed schedules construct
 // *parts mid-run, so the root step re-checks.
 func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
 	vr := rel(c.Rank, root, c.Size)
@@ -613,336 +613,246 @@ func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts *[]int, op *Op,
 }
 
 // ---------------------------------------------------------------------
-// Result builders. Each compiles one collective's steps plus the final
-// publish step against pointers to its inputs; the nonblocking, blocking
-// and persistent entry points all compile through them.
+// Calls. A collective call is a value: its kind, the parameters its
+// schedule is compiled for, and the inputs each run reads. Three
+// executors take it — Run (blocking, on the caller, re-running the
+// communicator's cached schedule), Start (nonblocking, on the shared
+// progress pool) and Init (persistent, re-reading the record on every
+// Start) — and all of them go through one validate and one build, and
+// mint exactly one instance per call, whether the call compiles a
+// schedule, re-runs a cached one or fails validation, so the sequence
+// advances in step on every member.
 // ---------------------------------------------------------------------
 
-func (c *Comm) buildBcast(s *sched, root int, data *[]byte) {
-	c.addBcastSteps(s, root, data)
-	s.publish(func() any { return *data })
+// Kind names a collective operation.
+type Kind uint8
+
+const (
+	KindBarrier Kind = iota
+	KindBcast
+	KindGather
+	KindScatter
+	KindAllgather
+	KindAlltoall
+	KindReduce
+	KindAllreduce
+	KindScan
+	KindExscan
+	KindReduceScatter
+	numKinds
+)
+
+// Call is one collective call. Kind, Root and Op (with the element
+// class of Dense) fix the compiled schedule; the inputs are read
+// through the record by every run, so a persistent schedule sees what
+// the caller re-packs into its record before each Start. Each kind
+// reads only its own fields:
+//
+//   - Bcast: Root, Data (significant at root); result []byte everywhere.
+//   - Gather: Root, Data; result [][]byte by group rank at root, nil
+//     elsewhere.
+//   - Scatter: Root, Parts by group rank (significant at root); result
+//     this member's []byte. Blocks may differ in size (Scatterv).
+//   - Allgather: Data; result [][]byte by group rank (Allgatherv).
+//   - Alltoall: Parts, Parts[j] going to member j; result the [][]byte
+//     received from every member (Alltoallv).
+//   - Reduce: Root, Op, Dense; result the folded dense slice at root,
+//     nil elsewhere.
+//   - Allreduce: Op, Dense; result the folded dense slice everywhere.
+//   - Scan, Exscan: Op, Dense; result member r's fold over ranks 0..r
+//     (Scan) or 0..r-1 (Exscan; nil at rank 0, whose result is
+//     undefined). Both fold in rank order.
+//   - ReduceScatter: Op, Dense, Counts; result member r's Counts[r]
+//     elements of the fold.
+//
+// A dense operand must be valid when the schedule is compiled: its
+// class fixes the algorithm.
+type Call struct {
+	Kind Kind
+	Root int
+	Op   *Op
+
+	Data   []byte
+	Parts  [][]byte
+	Dense  any
+	Counts []int
 }
 
-func (c *Comm) buildGather(s *sched, root int, mine *[]byte) {
-	var blocks [][]byte
-	c.addGatherSteps(s, root, mine, &blocks)
-	s.publish(func() any { return blocks })
+// validate checks a call's arguments against the communicator.
+func (c *Comm) validate(in *Call) error {
+	switch in.Kind {
+	case KindBcast, KindGather, KindReduce:
+		return c.check(in.Root)
+	case KindScatter:
+		if err := c.check(in.Root); err != nil {
+			return err
+		}
+		if c.Rank == in.Root && len(in.Parts) != c.Size {
+			return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(in.Parts), c.Size)
+		}
+	case KindAlltoall:
+		if len(in.Parts) != c.Size {
+			return fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(in.Parts), c.Size)
+		}
+	case KindReduceScatter:
+		if len(in.Counts) != c.Size {
+			return fmt.Errorf("coll: reduce_scatter with %d counts for %d ranks", len(in.Counts), c.Size)
+		}
+	case KindBarrier, KindAllgather, KindAllreduce, KindScan, KindExscan:
+	default:
+		return fmt.Errorf("coll: unknown collective kind %d", in.Kind)
+	}
+	return nil
 }
 
-func (c *Comm) buildScatter(s *sched, root int, parts *[][]byte) {
-	var out []byte
-	c.addScatterSteps(s, root, parts, &out)
-	s.publish(func() any { return out })
+// build compiles a validated call into s: the algorithm's steps plus
+// the final step that publishes its result. Root and Op are read here,
+// once; the steps read the inputs through in on every run.
+func (c *Comm) build(s *sched, in *Call) {
+	switch in.Kind {
+	case KindBarrier:
+		c.addBarrierSteps(s)
+	case KindBcast:
+		c.addBcastSteps(s, in.Root, &in.Data)
+		s.publish(func() any { return in.Data })
+	case KindGather:
+		var blocks [][]byte
+		c.addGatherSteps(s, in.Root, &in.Data, &blocks)
+		s.publish(func() any { return blocks })
+	case KindScatter:
+		var out []byte
+		c.addScatterSteps(s, in.Root, &in.Parts, &out)
+		s.publish(func() any { return out })
+	case KindAllgather:
+		var blocks [][]byte
+		c.addAllgatherSteps(s, tagAllgather, &in.Data, &blocks)
+		s.publish(func() any { return blocks })
+	case KindAlltoall:
+		var blocks [][]byte
+		c.addAlltoallSteps(s, tagAlltoall, &in.Parts, &blocks)
+		s.publish(func() any { return blocks })
+	default:
+		var res any
+		switch in.Kind {
+		case KindReduce:
+			c.addReduceSteps(s, in.Root, &in.Dense, in.Op, &res)
+		case KindAllreduce:
+			c.addAllreduceSteps(s, &in.Dense, in.Op, &res)
+		case KindScan:
+			c.addScanSteps(s, tagScan, false, &in.Dense, in.Op, &res)
+		case KindExscan:
+			c.addScanSteps(s, tagExscan, true, &in.Dense, in.Op, &res)
+		case KindReduceScatter:
+			c.addReduceScatterSteps(s, &in.Dense, &in.Counts, in.Op, &res)
+		}
+		s.publish(func() any { return res })
+	}
 }
 
-func (c *Comm) buildAllgather(s *sched, mine *[]byte) {
-	var blocks [][]byte
-	c.addAllgatherSteps(s, tagAllgather, mine, &blocks)
-	s.publish(func() any { return blocks })
-}
-
-func (c *Comm) buildAlltoall(s *sched, parts *[][]byte) {
-	var out [][]byte
-	c.addAlltoallSteps(s, tagAlltoall, parts, &out)
-	s.publish(func() any { return out })
-}
-
-func (c *Comm) buildReduce(s *sched, root int, mine *any, op *Op) {
-	var res any
-	c.addReduceSteps(s, root, mine, op, &res)
-	s.publish(func() any { return res })
-}
-
-func (c *Comm) buildAllreduce(s *sched, mine *any, op *Op) {
-	var res any
-	c.addAllreduceSteps(s, mine, op, &res)
-	s.publish(func() any { return res })
-}
-
-func (c *Comm) buildScan(s *sched, family int, exclusive bool, mine *any, op *Op) {
-	var res any
-	c.addScanSteps(s, family, exclusive, mine, op, &res)
-	s.publish(func() any { return res })
-}
-
-func (c *Comm) buildReduceScatter(s *sched, mine *any, counts *[]int, op *Op) {
-	var res any
-	c.addReduceScatterSteps(s, mine, counts, op, &res)
-	s.publish(func() any { return res })
-}
-
-// ---------------------------------------------------------------------
-// Entry points. Every collective has a nonblocking I* form returning a
-// *Request and a blocking form running the identical schedule on the
-// calling goroutine. The I* forms compile a fresh schedule per call;
-// the blocking forms re-run the communicator's cached one (cache.go).
-// Argument errors consume the call's instance number either way, so
-// the sequence advances by exactly one per call on every member.
-// ---------------------------------------------------------------------
-
-// Ibarrier starts a nonblocking barrier: the returned request completes
-// once every member has entered the matching Ibarrier/Barrier call.
-func (c *Comm) Ibarrier() *Request {
+// compile mints a call's instance, then validates the call and compiles
+// a fresh schedule that reads its inputs through in.
+func (c *Comm) compile(in *Call) (*sched, error) {
 	s := c.newSched()
-	c.addBarrierSteps(s)
-	return s.start()
+	if err := c.validate(in); err != nil {
+		return nil, err
+	}
+	c.build(s, in)
+	return s, nil
 }
+
+// Run executes a call to completion on the calling goroutine (the
+// blocking form), re-running the communicator's cached schedule for the
+// call's kind when it was compiled for the same shape (cache.go).
+func (c *Comm) Run(call Call) (any, error) {
+	inst := c.mint()
+	if err := c.validate(&call); err != nil {
+		return nil, err
+	}
+	return c.runCached(inst, call)
+}
+
+// Start compiles a call into a fresh schedule and launches it on the
+// shared progress pool (the nonblocking form); the request completes
+// with the call's result.
+func (c *Comm) Start(call Call) (*Request, error) {
+	s, err := c.compile(&call)
+	if err != nil {
+		return nil, err
+	}
+	return s.start(), nil
+}
+
+// result unwraps a blocking call's result as its kind's result type.
+func result[T any](res any, err error) (T, error) {
+	v, _ := res.(T)
+	return v, err
+}
+
+// The named blocking forms below are Run with the call spelled out, for
+// callers inside the runtime (intercommunicators, dynamic processes,
+// agreement, file opens).
 
 // Barrier blocks until every member has entered it.
 func (c *Comm) Barrier() error {
-	_, err := c.runCached(kindBarrier, shape{}, ins{}, func(s *sched, _ *ins) {
-		c.addBarrierSteps(s)
-	})
+	_, err := c.Run(Call{Kind: KindBarrier})
 	return err
-}
-
-// Ibcast starts a nonblocking broadcast of root's payload; the
-// completed request's result is the payload ([]byte) on every member.
-func (c *Comm) Ibcast(root int, data []byte) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildBcast(s, root, &data)
-	return s.start(), nil
 }
 
 // Bcast distributes root's payload to every member along a binomial
 // tree and returns it (the root gets its own slice back).
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	if err := c.check(root); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	res, err := c.runCached(kindBcast, shape{root: root}, ins{data: data}, func(s *sched, in *ins) {
-		c.buildBcast(s, root, &in.data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
-// Igather starts a nonblocking gather; the completed request's result
-// is the per-rank blocks ([][]byte) at root, nil elsewhere.
-func (c *Comm) Igather(root int, mine []byte) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildGather(s, root, &mine)
-	return s.start(), nil
+	return result[[]byte](c.Run(Call{Kind: KindBcast, Root: root, Data: data}))
 }
 
 // Gather collects every member's block at root along a binomial tree.
-// At root the result is indexed by group rank; other ranks get nil.
 func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
-	if err := c.check(root); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	res, err := c.runCached(kindGather, shape{root: root}, ins{data: mine}, func(s *sched, in *ins) {
-		c.buildGather(s, root, &in.data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
-}
-
-func (c *Comm) checkScatter(root int, parts [][]byte) error {
-	if err := c.check(root); err != nil {
-		return err
-	}
-	if c.Rank == root && len(parts) != c.Size {
-		return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(parts), c.Size)
-	}
-	return nil
-}
-
-// Iscatter starts a nonblocking scatter of parts (indexed by group
-// rank, significant at root only); the completed request's result is
-// this member's block ([]byte).
-func (c *Comm) Iscatter(root int, parts [][]byte) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.checkScatter(root, parts); err != nil {
-		return nil, err
-	}
-	c.buildScatter(s, root, &parts)
-	return s.start(), nil
+	return result[[][]byte](c.Run(Call{Kind: KindGather, Root: root, Data: mine}))
 }
 
 // Scatter distributes parts along a binomial tree; every member returns
-// its own block. Blocks may have different sizes, so Scatter doubles as
-// Scatterv.
+// its own block.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	if err := c.checkScatter(root, parts); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	res, err := c.runCached(kindScatter, shape{root: root}, ins{parts: parts}, func(s *sched, in *ins) {
-		c.buildScatter(s, root, &in.parts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
-// Iallgather starts a nonblocking allgather; the completed request's
-// result is every member's block ([][]byte).
-func (c *Comm) Iallgather(mine []byte) *Request {
-	s := c.newSched()
-	c.buildAllgather(s, &mine)
-	return s.start()
+	return result[[]byte](c.Run(Call{Kind: KindScatter, Root: root, Parts: parts}))
 }
 
 // Allgather collects every member's block at every member.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	res, err := c.runCached(kindAllgather, shape{}, ins{data: mine}, func(s *sched, in *ins) {
-		c.buildAllgather(s, &in.data)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
-}
-
-func (c *Comm) checkAlltoall(parts [][]byte) error {
-	if len(parts) != c.Size {
-		return fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(parts), c.Size)
-	}
-	return nil
-}
-
-// Ialltoall starts a nonblocking alltoall; the completed request's
-// result is the blocks received from every member ([][]byte).
-func (c *Comm) Ialltoall(parts [][]byte) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.checkAlltoall(parts); err != nil {
-		return nil, err
-	}
-	c.buildAlltoall(s, &parts)
-	return s.start(), nil
+	return result[[][]byte](c.Run(Call{Kind: KindAllgather, Data: mine}))
 }
 
 // Alltoall delivers parts[j] to member j and returns the blocks
 // received from every member.
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	if err := c.checkAlltoall(parts); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	res, err := c.runCached(kindAlltoall, shape{}, ins{parts: parts}, func(s *sched, in *ins) {
-		c.buildAlltoall(s, &in.parts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
-}
-
-// Ireduce starts a nonblocking reduction toward root; the completed
-// request's result is the folded dense slice at root, nil elsewhere.
-func (c *Comm) Ireduce(root int, mine any, op *Op) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildReduce(s, root, &mine, op)
-	return s.start(), nil
+	return result[[][]byte](c.Run(Call{Kind: KindAlltoall, Parts: parts}))
 }
 
 // Reduce folds every member's dense slice with op, leaving the result
-// at root (returned there; nil elsewhere).
+// at root.
 func (c *Comm) Reduce(root int, mine any, op *Op) (any, error) {
-	if err := c.check(root); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	return c.runCached(kindReduce, denseShape(root, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
-		c.buildReduce(s, root, &in.dense, op)
-	})
-}
-
-// Iallreduce starts a nonblocking all-reduction; the completed
-// request's result is the folded dense slice on every member.
-func (c *Comm) Iallreduce(mine any, op *Op) *Request {
-	s := c.newSched()
-	c.buildAllreduce(s, &mine, op)
-	return s.start()
+	return c.Run(Call{Kind: KindReduce, Root: root, Op: op, Dense: mine})
 }
 
 // Allreduce folds every member's dense slice with op and returns the
 // result at every member.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
-	return c.runCached(kindAllreduce, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
-		c.buildAllreduce(s, &in.dense, op)
-	})
+	return c.Run(Call{Kind: KindAllreduce, Op: op, Dense: mine})
 }
 
-// Iscan starts a nonblocking inclusive prefix reduction in rank order;
-// the completed request's result is member r's fold over ranks 0..r.
-func (c *Comm) Iscan(mine any, op *Op) *Request {
-	s := c.newSched()
-	c.buildScan(s, tagScan, false, &mine, op)
-	return s.start()
-}
-
-// Scan computes the inclusive prefix reduction in rank order along a
-// chain.
+// Scan computes the inclusive prefix reduction in rank order.
 func (c *Comm) Scan(mine any, op *Op) (any, error) {
-	return c.runCached(kindScan, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
-		c.buildScan(s, tagScan, false, &in.dense, op)
-	})
-}
-
-// Iexscan starts a nonblocking exclusive prefix reduction in rank
-// order; member r's result is the fold over ranks 0..r-1 (nil at rank
-// 0, whose result is undefined).
-func (c *Comm) Iexscan(mine any, op *Op) *Request {
-	s := c.newSched()
-	c.buildScan(s, tagExscan, true, &mine, op)
-	return s.start()
+	return c.Run(Call{Kind: KindScan, Op: op, Dense: mine})
 }
 
 // Exscan computes the exclusive prefix reduction in rank order (the
 // MPI-2 extension the paper's §5.3 targets).
 func (c *Comm) Exscan(mine any, op *Op) (any, error) {
-	return c.runCached(kindExscan, denseShape(0, op, mine), ins{dense: mine}, func(s *sched, in *ins) {
-		c.buildScan(s, tagExscan, true, &in.dense, op)
-	})
-}
-
-func (c *Comm) checkCounts(counts []int) error {
-	if len(counts) != c.Size {
-		return fmt.Errorf("coll: reduce_scatter with %d counts for %d ranks", len(counts), c.Size)
-	}
-	return nil
-}
-
-// IreduceScatter starts a nonblocking fold-and-scatter; the completed
-// request's result is member r's counts[r]-element segment.
-func (c *Comm) IreduceScatter(mine any, counts []int, op *Op) (*Request, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.checkCounts(counts); err != nil {
-		return nil, err
-	}
-	c.buildReduceScatter(s, &mine, &counts, op)
-	return s.start(), nil
+	return c.Run(Call{Kind: KindExscan, Op: op, Dense: mine})
 }
 
 // ReduceScatter folds with op, then scatters consecutive segments of
 // the result: member r receives counts[r] elements.
 func (c *Comm) ReduceScatter(mine any, counts []int, op *Op) (any, error) {
-	if err := c.checkCounts(counts); err != nil {
-		c.SkipInstance()
-		return nil, err
-	}
-	in := ins{dense: mine, counts: counts}
-	return c.runCached(kindReduceScatter, denseShape(0, op, mine), in, func(s *sched, in *ins) {
-		c.buildReduceScatter(s, &in.dense, &in.counts, op)
-	})
+	return c.Run(Call{Kind: KindReduceScatter, Op: op, Dense: mine, Counts: counts})
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

@@ -5,12 +5,13 @@
 // reduction operation kernels they share.
 //
 // Every algorithm is expressed as a schedule of isend/irecv/compute
-// steps (sched.go) executed by a per-operation progress runner, so each
-// collective has both a blocking entry point and a nonblocking I* form
-// returning a *Request with Wait/Test/WaitCtx — cancellation points
+// steps (sched.go) run by one parking executor. A collective call is a
+// value (Call) taken by three executors: Run blocks on the caller,
+// Start returns a *Request with Wait/Test/WaitCtx — cancellation points
 // live inside the algorithm rounds, not just the point-to-point wait
-// path. Tags carry a per-instance sequence number, letting any number
-// of collectives on one communicator overlap in flight without
+// path — and Init returns a persistent operation (persistent.go). Tags
+// carry a per-instance sequence number, letting any number of
+// collectives on one communicator overlap in flight without
 // cross-matching.
 package coll
 

@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// Persistent is a cached, re-runnable collective schedule — the engine
-// half of MPI-4 persistent collectives. It is built once (validation,
-// tag minting, step compilation all happen at *Init time, in program
-// order like any collective call) and then activated any number of
-// times with Start, each activation running the frozen schedule on the
-// shared progress pool with near-zero setup cost.
+// Persistent is a re-runnable collective schedule — the engine half of
+// MPI-4 persistent collectives. Init validates and compiles the call
+// once, in program order like any collective call, and Start then
+// activates it any number of times on the shared progress pool.
 //
-// The *Init constructors take pointers to the operation's inputs: each
-// activation re-reads them, so the binding layer can re-pack the user's
-// (fixed) buffers before every Start — MPI's persistent-operation
+// The schedule reads its inputs through the caller's record on each
+// activation, so the binding layer can re-pack the user's (fixed)
+// buffers into it before every Start — MPI's persistent-operation
 // contract. The instance number is minted once and reused: a member
 // must complete activation k before starting k+1 (Start enforces it
 // locally), which keeps successive activations' traffic aligned
@@ -25,7 +23,16 @@ type Persistent struct {
 	mu     sync.Mutex
 	active *Request
 	err    error // poisoned: set once the operation can no longer restart
-	freed  bool
+}
+
+// Init compiles a persistent collective from the record call points
+// to; the record must stay valid for the operation's lifetime.
+func (c *Comm) Init(call *Call) (*Persistent, error) {
+	s, err := c.compile(call)
+	if err != nil {
+		return nil, err
+	}
+	return &Persistent{s: s}, nil
 }
 
 // Start begins a new activation and returns its request. The previous
@@ -35,9 +42,6 @@ type Persistent struct {
 func (p *Persistent) Start() (*Request, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.freed {
-		return nil, fmt.Errorf("coll: Start on a freed persistent operation")
-	}
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -55,92 +59,4 @@ func (p *Persistent) Start() (*Request, error) {
 	p.active = p.s.req
 	sharedPool.enqueue(p.s)
 	return p.active, nil
-}
-
-// Free retires the operation. The current activation, if any, is left
-// to complete; further Starts fail.
-func (p *Persistent) Free() {
-	p.mu.Lock()
-	p.freed = true
-	p.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------
-// Persistent constructors, one per collective. Each mints its instance
-// (so Init calls follow the same program-order rule as the collectives
-// themselves), validates once, and compiles the schedule against the
-// caller's pointers.
-// ---------------------------------------------------------------------
-
-// BarrierInit builds a persistent barrier.
-func (c *Comm) BarrierInit() *Persistent {
-	s := c.newSched()
-	c.addBarrierSteps(s)
-	return &Persistent{s: s}
-}
-
-// BcastInit builds a persistent broadcast: each activation distributes
-// *data (re-read at Start) from root, completing with the payload
-// ([]byte) on every member.
-func (c *Comm) BcastInit(root int, data *[]byte) (*Persistent, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildBcast(s, root, data)
-	return &Persistent{s: s}, nil
-}
-
-// GatherInit builds a persistent gather of *mine toward root; each
-// activation completes with the per-rank blocks ([][]byte) at root.
-func (c *Comm) GatherInit(root int, mine *[]byte) (*Persistent, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildGather(s, root, mine)
-	return &Persistent{s: s}, nil
-}
-
-// AllgatherInit builds a persistent allgather of *mine; each activation
-// completes with every member's block ([][]byte).
-func (c *Comm) AllgatherInit(mine *[]byte) *Persistent {
-	s := c.newSched()
-	c.buildAllgather(s, mine)
-	return &Persistent{s: s}
-}
-
-// ReduceInit builds a persistent reduction of *mine toward root. The
-// pointed-to dense slice must already be valid at Init time (its class
-// fixes the algorithm) and is re-read on every activation.
-func (c *Comm) ReduceInit(root int, mine *any, op *Op) (*Persistent, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	c.buildReduce(s, root, mine, op)
-	return &Persistent{s: s}, nil
-}
-
-// AllreduceInit builds a persistent all-reduction of *mine (valid at
-// Init, re-read per activation); each activation completes with the
-// folded dense slice on every member.
-func (c *Comm) AllreduceInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	c.buildAllreduce(s, mine, op)
-	return &Persistent{s: s}
-}
-
-// ScanInit builds a persistent inclusive prefix reduction.
-func (c *Comm) ScanInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	c.buildScan(s, tagScan, false, mine, op)
-	return &Persistent{s: s}
-}
-
-// ExscanInit builds a persistent exclusive prefix reduction.
-func (c *Comm) ExscanInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	c.buildScan(s, tagExscan, true, mine, op)
-	return &Persistent{s: s}
 }

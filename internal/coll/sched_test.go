@@ -74,11 +74,11 @@ func TestOverlappingIbcastsSameFamily(t *testing.T) {
 				d1 = []byte("first")
 				d2 = []byte("second")
 			}
-			r1, err := c.Ibcast(0, d1)
+			r1, err := c.Start(Call{Kind: KindBcast, Data: d1})
 			if err != nil {
 				return nil, err
 			}
-			r2, err := c.Ibcast(0, d2)
+			r2, err := c.Start(Call{Kind: KindBcast, Data: d2})
 			if err != nil {
 				return nil, err
 			}
@@ -109,11 +109,11 @@ func TestOverlappingMixedCollectives(t *testing.T) {
 	const n = 4
 	results := runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
 		c := mk(1)
-		rb := c.Ibarrier()
-		rr := c.Iallreduce([]int32{int32(c.Rank + 1)}, Sum)
-		rg := c.Iallgather([]byte{byte(c.Rank)})
-		rs := c.Iscan([]int32{int32(c.Rank + 1)}, Sum)
-		rx := c.Iexscan([]int32{int32(c.Rank + 1)}, Sum)
+		rb := mustStart(c, Call{Kind: KindBarrier})
+		rr := mustStart(c, Call{Kind: KindAllreduce, Op: Sum, Dense: []int32{int32(c.Rank + 1)}})
+		rg := mustStart(c, Call{Kind: KindAllgather, Data: []byte{byte(c.Rank)}})
+		rs := mustStart(c, Call{Kind: KindScan, Op: Sum, Dense: []int32{int32(c.Rank + 1)}})
+		rx := mustStart(c, Call{Kind: KindExscan, Op: Sum, Dense: []int32{int32(c.Rank + 1)}})
 		if _, err := rb.Wait(); err != nil {
 			return nil, err
 		}
@@ -167,8 +167,8 @@ func TestScanExscanBackToBackDistinctTags(t *testing.T) {
 	const n = 4
 	results := runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
 		c := mk(1)
-		rs := c.Iscan([]int64{int64(c.Rank + 1)}, Sum)
-		rx := c.Iexscan([]int64{100 * int64(c.Rank+1)}, Sum)
+		rs := mustStart(c, Call{Kind: KindScan, Op: Sum, Dense: []int64{int64(c.Rank + 1)}})
+		rx := mustStart(c, Call{Kind: KindExscan, Op: Sum, Dense: []int64{100 * int64(c.Rank+1)}})
 		exscan, err := rx.Wait()
 		if err != nil {
 			return nil, err
@@ -201,7 +201,7 @@ func TestWaitCtxAbsentPeerBarrier(t *testing.T) {
 		if mk(1).Rank == 0 {
 			// Rank 1 never enters the barrier on context 3.
 			stalled := mk(3)
-			req := stalled.Ibarrier()
+			req := mustStart(stalled, Call{Kind: KindBarrier})
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -228,7 +228,7 @@ func TestWaitCtxCancelThenReuseSameComm(t *testing.T) {
 	results := runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
 		c := mk(1)
 		if c.Rank == 1 {
-			req, err := c.Ibcast(0, nil)
+			req, err := c.Start(Call{Kind: KindBcast})
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +273,7 @@ func TestRequestTestPolling(t *testing.T) {
 	const n = 3
 	runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
 		c := mk(1)
-		req := c.Iallreduce([]int32{1}, Sum)
+		req := mustStart(c, Call{Kind: KindAllreduce, Op: Sum, Dense: []int32{1}})
 		for {
 			res, done, err := req.Test()
 			if err != nil {
@@ -297,7 +297,7 @@ func TestBlockingUnaffectedByCancelledNeighbour(t *testing.T) {
 	results := runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
 		main, side := mk(1), mk(3)
 		if main.Rank == 0 {
-			req := side.Ibarrier() // ranks 1..3 never enter; abandon it
+			req := mustStart(side, Call{Kind: KindBarrier}) // ranks 1..3 never enter; abandon it
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			if _, err := req.WaitCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -358,4 +358,14 @@ func TestBlockingCollectiveParksOnCaller(t *testing.T) {
 			})
 		})
 	}
+}
+
+// mustStart starts a call the test constructs valid, so Start cannot
+// fail validation.
+func mustStart(c *Comm, call Call) *Request {
+	req, err := c.Start(call)
+	if err != nil {
+		panic(err)
+	}
+	return req
 }

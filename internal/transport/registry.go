@@ -27,9 +27,6 @@ type JobSpec struct {
 	// SegmentRanks lists the world ranks attached to Segment (this
 	// rank's same-node peer set), in slot order.
 	SegmentRanks []int
-	// InboxDepth overrides a device's flow-control window in frames
-	// (<= 0 selects the device default).
-	InboxDepth int
 }
 
 // Entry is one registered device medium.

@@ -635,42 +635,37 @@ func (c *Comm) Iprobe(source, tag int) (*Status, error) {
 // SendInit creates a persistent standard-mode send request
 // (MPI_Send_init).
 func (c *Comm) SendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, mode: core.ModeStandard, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(buf, offset, count, d, dest, tag, core.ModeStandard)
 }
 
 // SsendInit creates a persistent synchronous-mode send request.
 func (c *Comm) SsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, mode: core.ModeSync, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(buf, offset, count, d, dest, tag, core.ModeSync)
 }
 
 // RsendInit creates a persistent ready-mode send request.
 func (c *Comm) RsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, mode: core.ModeReady, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(buf, offset, count, d, dest, tag, core.ModeReady)
+}
+
+func (c *Comm) sendInit(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) (*PersistentRequest, error) {
+	return c.persistent(c.sendChecks(d, dest, tag), func() (AnyRequest, error) {
+		return c.isendMode(buf, offset, count, d, dest, tag, mode)
+	})
 }
 
 // BsendInit creates a persistent buffered-mode send request.
 func (c *Comm) BsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, buffed: true, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.persistent(c.sendChecks(d, dest, tag), func() (AnyRequest, error) {
+		return c.Ibsend(buf, offset, count, d, dest, tag)
+	})
 }
 
 // RecvInit creates a persistent receive request (MPI_Recv_init).
 func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int) (*PersistentRequest, error) {
-	if err := c.recvChecks(d, source, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, isRecv: true, buf: buf, offset: offset, count: count, dt: d, rank: source, tag: tag}, nil
+	return c.persistent(c.recvChecks(d, source, tag), func() (AnyRequest, error) {
+		return c.Irecv(buf, offset, count, d, source, tag)
+	})
 }
 
 // RecvIntoInit creates a persistent zero-copy receive request: each
@@ -678,10 +673,9 @@ func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int
 // the IrecvInto path. Use it with a preallocated landing buffer on hot
 // loops — a steady-state activation allocates nothing.
 func (c *Comm) RecvIntoInit(buf any, offset, count int, d *Datatype, source, tag int) (*PersistentRequest, error) {
-	if err := c.recvChecks(d, source, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, isRecv: true, recvInto: true, buf: buf, offset: offset, count: count, dt: d, rank: source, tag: tag}, nil
+	return c.persistent(c.recvChecks(d, source, tag), func() (AnyRequest, error) {
+		return c.IrecvInto(buf, offset, count, d, source, tag)
+	})
 }
 
 // Pack incrementally packs a buffer section into outbuf starting at

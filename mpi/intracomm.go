@@ -19,7 +19,10 @@ import (
 // context.Context with cancellation points inside the algorithm, and
 // the classic blocking form — semantically the *Ctx form under
 // context.Background(), executed on the caller's goroutine so a
-// blocking collective pays no pool handoff or channel overhead.
+// blocking collective pays no pool handoff or channel overhead. The
+// classic eight add the MPI-4 persistent *Init form. Every form of a
+// collective runs the same plan: one validation, one call record for
+// the runtime, one completion deposit.
 type Intracomm struct {
 	Comm
 }
@@ -47,30 +50,52 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 	return c.checkRoot(root)
 }
 
-// collPlan is one collective call, prepared (validated and packed) but
-// not yet run: the shared substance behind the blocking, *Ctx and I*
-// entry points. run executes the schedule on the caller's goroutine;
-// irun starts it on the shared progress pool; fin deposits the result
-// into the caller's receive buffers at completion (nil when this rank
-// receives nothing).
+// collPlan is one collective call, validated but not yet run: the
+// shared substance behind the blocking, *Ctx, I* and *Init entry
+// points. call is the runtime's call record; pack re-reads the caller's
+// send buffers into the record's inputs (nil when the call sends
+// nothing), once per blocking or nonblocking call and once per
+// persistent activation; fin deposits the result into the caller's
+// receive buffers at completion (nil when this rank receives nothing).
 type collPlan struct {
-	run  func() (any, error)
-	irun func() (*coll.Request, error)
+	call coll.Call
+	pack func(coll.Call) (coll.Call, error)
 	fin  func(res any) error
 }
 
-// runColl drives a prepared plan to completion on the caller: the blocking
-// entry points. A plan that failed local validation never reaches the
-// schedule layer, so the collective's instance number is skipped to
-// stay tag-aligned with members whose matching call proceeded.
-func (c *Intracomm) runColl(p collPlan, err error) error {
+// packed returns the plan's call record with the send buffers packed
+// in.
+func (p *collPlan) packed() (coll.Call, error) {
+	if p.pack == nil {
+		return p.call, nil
+	}
+	return p.pack(p.call)
+}
+
+// ready packs a plan's first call record. A plan that failed local
+// validation or packing never reaches the runtime, so the collective's
+// instance number is skipped to stay tag-aligned with members whose
+// matching call proceeded.
+func (c *Intracomm) ready(p *collPlan, err error) error {
+	if err == nil {
+		p.call, err = p.packed()
+	}
 	if err != nil {
 		c.cl.SkipInstance()
 		return c.raise(err)
 	}
-	res, rerr := p.run()
-	if rerr != nil {
-		return c.raise(mapEngineErr(rerr))
+	return nil
+}
+
+// runColl drives a plan to completion on the caller: the blocking entry
+// points.
+func (c *Intracomm) runColl(p collPlan, err error) error {
+	if err := c.ready(&p, err); err != nil {
+		return err
+	}
+	res, err := c.cl.Run(p.call)
+	if err != nil {
+		return c.raise(mapEngineErr(err))
 	}
 	if p.fin != nil {
 		return c.raise(p.fin(res))
@@ -78,19 +103,55 @@ func (c *Intracomm) runColl(p collPlan, err error) error {
 	return nil
 }
 
-// startColl launches a prepared plan on the shared progress pool: the
-// nonblocking entry points. Like runColl, a plan-level failure skips
-// the collective's instance number.
+// startColl launches a plan on the shared progress pool: the
+// nonblocking entry points.
 func (c *Intracomm) startColl(p collPlan, err error) (*CollRequest, error) {
-	if err != nil {
-		c.cl.SkipInstance()
-		return nil, c.raise(err)
+	if err := c.ready(&p, err); err != nil {
+		return nil, err
 	}
-	creq, rerr := p.irun()
-	if rerr != nil {
-		return nil, c.raise(mapEngineErr(rerr))
+	creq, err := c.cl.Start(p.call)
+	if err != nil {
+		return nil, c.raise(mapEngineErr(err))
 	}
 	return newCollRequest(&c.Comm, creq, p.fin), nil
+}
+
+// packData is the pack of a call whose input is one send section.
+func (c *Intracomm) packData(buf any, offset, count int, d *Datatype) func(coll.Call) (coll.Call, error) {
+	return func(in coll.Call) (coll.Call, error) {
+		var err error
+		in.Data, err = c.packColl(buf, offset, count, d)
+		return in, err
+	}
+}
+
+// packParts is the pack of a call whose input is one send section per
+// member: uniform scount sections, or v's per-rank layout.
+func (c *Intracomm) packParts(buf any, soffset, scount int, sdt *Datatype, v *vLayout) func(coll.Call) (coll.Call, error) {
+	return func(in coll.Call) (coll.Call, error) {
+		in.Parts = make([][]byte, c.Size())
+		for r := range in.Parts {
+			at, n := soffset+r*scount*sdt.Extent(), scount
+			if v != nil {
+				at, n = soffset+v.displs[r]*sdt.Extent(), v.counts[r]
+			}
+			var err error
+			if in.Parts[r], err = c.packColl(buf, at, n, sdt); err != nil {
+				return in, err
+			}
+		}
+		return in, nil
+	}
+}
+
+// packDense is the pack of the reduction family: the send section,
+// extracted as the dense operand.
+func packDense(buf any, offset, count int, d *Datatype) func(coll.Call) (coll.Call, error) {
+	return func(in coll.Call) (coll.Call, error) {
+		var err error
+		in.Dense, err = dtype.Extract(buf, offset, count, d.t)
+		return in, mapDataErr(err)
+	}
 }
 
 // SkipColl consumes one collective instance number without
@@ -126,13 +187,7 @@ func (c *Intracomm) Ibarrier() (*CollRequest, error) {
 
 func (c *Intracomm) planBarrier() (collPlan, error) {
 	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return collPlan{}, err
-	}
-	return collPlan{
-		run:  func() (any, error) { return nil, c.cl.Barrier() },
-		irun: func() (*coll.Request, error) { return c.cl.Ibarrier(), nil },
-	}, nil
+	return collPlan{call: coll.Call{Kind: coll.KindBarrier}}, c.ok()
 }
 
 // Bcast broadcasts the buffer section from root to all members
@@ -163,21 +218,10 @@ func (c *Intracomm) planBcast(buf any, offset, count int, d *Datatype, root int)
 	if err := c.collChecks(d, root); err != nil {
 		return collPlan{}, err
 	}
-	var wire []byte
+	p := collPlan{call: coll.Call{Kind: coll.KindBcast, Root: root}}
 	if c.rank == root {
-		var err error
-		if wire, err = c.packColl(buf, offset, count, d); err != nil {
-			return collPlan{}, err
-		}
-	}
-	p := collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Bcast(root, wire)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Ibcast(root, wire) },
-	}
-	if c.rank != root {
+		p.pack = c.packData(buf, offset, count, d)
+	} else {
 		p.fin = func(res any) error {
 			if _, err := dtype.Unpack(res.([]byte), buf, offset, count, d.t); err != nil {
 				return mapDataErr(err)
@@ -321,16 +365,9 @@ func (c *Intracomm) planGather(
 			}
 		}
 	}
-	mine, err := c.packColl(sendbuf, soffset, scount, sdt)
-	if err != nil {
-		return collPlan{}, err
-	}
 	p := collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Gather(root, mine)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Igather(root, mine) },
+		call: coll.Call{Kind: coll.KindGather, Root: root},
+		pack: c.packData(sendbuf, soffset, scount, sdt),
 	}
 	if c.rank == root {
 		p.fin = deposit
@@ -413,7 +450,15 @@ func (c *Intracomm) planScatter(
 	if err := c.collChecks(rdt, root); err != nil {
 		return collPlan{}, err
 	}
-	var parts [][]byte
+	p := collPlan{
+		call: coll.Call{Kind: coll.KindScatter, Root: root},
+		fin: func(res any) error {
+			if _, err := dtype.Unpack(res.([]byte), recvbuf, roffset, rcount, rdt.t); err != nil {
+				return mapDataErr(err)
+			}
+			return nil
+		},
+	}
 	if c.rank == root {
 		if err := c.checkType(sdt); err != nil {
 			return collPlan{}, err
@@ -423,32 +468,9 @@ func (c *Intracomm) planScatter(
 				return collPlan{}, err
 			}
 		}
-		parts = make([][]byte, c.Size())
-		for r := range parts {
-			at, n := soffset+r*scount*sdt.Extent(), scount
-			if v != nil {
-				at, n = soffset+v.displs[r]*sdt.Extent(), v.counts[r]
-			}
-			wire, err := c.packColl(sendbuf, at, n, sdt)
-			if err != nil {
-				return collPlan{}, err
-			}
-			parts[r] = wire
-		}
+		p.pack = c.packParts(sendbuf, soffset, scount, sdt, v)
 	}
-	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Scatter(root, parts)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Iscatter(root, parts) },
-		fin: func(res any) error {
-			if _, err := dtype.Unpack(res.([]byte), recvbuf, roffset, rcount, rdt.t); err != nil {
-				return mapDataErr(err)
-			}
-			return nil
-		},
-	}, nil
+	return p, nil
 }
 
 // Allgather gathers equal-size contributions at every member
@@ -540,16 +562,9 @@ func (c *Intracomm) planAllgather(
 			return collPlan{}, err
 		}
 	}
-	mine, err := c.packColl(sendbuf, soffset, scount, sdt)
-	if err != nil {
-		return collPlan{}, err
-	}
 	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Allgather(mine)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Iallgather(mine), nil },
+		call: coll.Call{Kind: coll.KindAllgather},
+		pack: c.packData(sendbuf, soffset, scount, sdt),
 		fin:  deposit,
 	}, nil
 }
@@ -644,24 +659,9 @@ func (c *Intracomm) planAlltoall(
 			return collPlan{}, errf(ErrArg, "Alltoallv needs %d counts and displacements on both sides", n)
 		}
 	}
-	parts := make([][]byte, n)
-	for r := range parts {
-		at, cnt := soffset+r*scount*sdt.Extent(), scount
-		if sendV != nil {
-			at, cnt = soffset+sendV.displs[r]*sdt.Extent(), sendV.counts[r]
-		}
-		wire, err := c.packColl(sendbuf, at, cnt, sdt)
-		if err != nil {
-			return collPlan{}, err
-		}
-		parts[r] = wire
-	}
 	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Alltoall(parts)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Ialltoall(parts) },
+		call: coll.Call{Kind: coll.KindAlltoall},
+		pack: c.packParts(sendbuf, soffset, scount, sdt, sendV),
 		fin:  deposit,
 	}, nil
 }
@@ -709,13 +709,9 @@ func (c *Intracomm) planReduce(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
-	if err != nil {
-		return collPlan{}, mapDataErr(err)
-	}
 	p := collPlan{
-		run:  func() (any, error) { return c.cl.Reduce(root, dense, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.Ireduce(root, dense, op.op) },
+		call: coll.Call{Kind: coll.KindReduce, Root: root, Op: op.op},
+		pack: packDense(sendbuf, soffset, count, d),
 	}
 	if c.rank == root {
 		p.fin = depositFin(recvbuf, roffset, count, d)
@@ -780,13 +776,9 @@ func (c *Intracomm) planAllreduce(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
-	if err != nil {
-		return collPlan{}, mapDataErr(err)
-	}
 	return collPlan{
-		run:  func() (any, error) { return c.cl.Allreduce(dense, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.Iallreduce(dense, op.op), nil },
+		call: coll.Call{Kind: coll.KindAllreduce, Op: op.op},
+		pack: packDense(sendbuf, soffset, count, d),
 		fin:  depositFin(recvbuf, roffset, count, d),
 	}, nil
 }
@@ -849,13 +841,9 @@ func (c *Intracomm) planReduceScatter(
 		total += n
 		elemCounts[i] = n * d.Size()
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, total, d.t)
-	if err != nil {
-		return collPlan{}, mapDataErr(err)
-	}
 	return collPlan{
-		run:  func() (any, error) { return c.cl.ReduceScatter(dense, elemCounts, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.IreduceScatter(dense, elemCounts, op.op) },
+		call: coll.Call{Kind: coll.KindReduceScatter, Op: op.op, Counts: elemCounts},
+		pack: packDense(sendbuf, soffset, total, d),
 		fin:  depositFin(recvbuf, roffset, recvcounts[c.rank], d),
 	}, nil
 }
@@ -942,24 +930,14 @@ func (c *Intracomm) planScan(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
-	if err != nil {
-		return collPlan{}, mapDataErr(err)
+	kind := coll.KindScan
+	if exclusive {
+		kind = coll.KindExscan
 	}
 	deposit := depositFin(recvbuf, roffset, count, d)
 	return collPlan{
-		run: func() (any, error) {
-			if exclusive {
-				return c.cl.Exscan(dense, op.op)
-			}
-			return c.cl.Scan(dense, op.op)
-		},
-		irun: func() (*coll.Request, error) {
-			if exclusive {
-				return c.cl.Iexscan(dense, op.op), nil
-			}
-			return c.cl.Iscan(dense, op.op), nil
-		},
+		call: coll.Call{Kind: kind, Op: op.op},
+		pack: packDense(sendbuf, soffset, count, d),
 		fin: func(res any) error {
 			if res == nil {
 				return nil // Exscan at rank 0

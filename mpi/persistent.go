@@ -1,79 +1,56 @@
 package mpi
 
-import (
-	"gompi/internal/coll"
-	"gompi/internal/dtype"
-)
-
 // Persistent collectives (MPI-4: MPI_Barrier_init, MPI_Bcast_init, …).
 //
-// Each *Init constructor validates and plans its collective exactly
-// once — argument checks, tag minting, schedule compilation — and
-// returns a PersistentRequest whose Start re-packs the (fixed) user
-// buffers and hands the cached schedule to the runtime's shared
-// progress pool. Like every collective, *Init is a collective call: all
-// members must invoke the matching constructor in the same program
-// order, and a constructor that fails local validation consumes the
-// collective instance on the failing member (SkipInstance) so peers
-// stay tag-aligned.
+// Each *Init constructor runs its blocking sibling's plan — the same
+// validation, the same call record, the same completion deposit — and
+// has the runtime compile it once: argument checks, tag minting and
+// schedule compilation happen at Init, and every Start re-runs the
+// plan's pack, re-reading the (fixed) user send buffers into the
+// record, then hands the compiled schedule to the shared progress pool.
+// Like every collective, *Init is a collective call: all members must
+// invoke the matching constructor in the same program order, and a
+// constructor that fails local validation consumes the collective
+// instance on the failing member so peers stay tag-aligned.
 //
 // Activations of one persistent collective reuse its pre-minted tags:
 // Start enforces that the previous activation has completed locally,
 // which keeps successive activations' traffic aligned pairwise.
 
-// skipInit is the validation-failure exit of the *Init constructors:
-// identical bookkeeping to runColl's failure path.
-func (c *Intracomm) skipInit(err error) (*PersistentRequest, error) {
-	c.cl.SkipInstance()
-	return nil, c.raise(err)
+// initColl compiles a plan into a persistent collective whose every
+// activation re-packs the plan's record and starts the schedule.
+func (c *Intracomm) initColl(p collPlan, err error) (*PersistentRequest, error) {
+	if err := c.ready(&p, err); err != nil {
+		return nil, err
+	}
+	pcol, err := c.cl.Init(&p.call)
+	if err != nil {
+		return nil, c.raise(mapEngineErr(err))
+	}
+	return &PersistentRequest{comm: &c.Comm, start: func() (AnyRequest, error) {
+		call, err := p.packed()
+		if err != nil {
+			return nil, c.raise(err)
+		}
+		p.call = call
+		creq, err := pcol.Start()
+		if err != nil {
+			return nil, c.raise(mapEngineErr(err))
+		}
+		return newCollRequest(&c.Comm, creq, p.fin), nil
+	}}, nil
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init).
 func (c *Intracomm) BarrierInit() (*PersistentRequest, error) {
-	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return c.skipInit(err)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: c.cl.BarrierInit()}, nil
+	return c.initColl(c.planBarrier())
 }
 
 // BcastInit builds a persistent broadcast (MPI_Bcast_init): each
 // activation distributes root's buffer section, re-read at Start, into
 // every member's section at completion.
 func (c *Intracomm) BcastInit(buf any, offset, count int, d *Datatype, root int) (*PersistentRequest, error) {
-	c.env.enterCall()
-	if err := c.collChecks(d, root); err != nil {
-		return c.skipInit(err)
-	}
-	var wire []byte
-	refresh := func() error {
-		if c.rank != root {
-			return nil
-		}
-		w, err := c.packColl(buf, offset, count, d)
-		if err != nil {
-			return err
-		}
-		wire = w
-		return nil
-	}
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	pcol, err := c.cl.BcastInit(root, &wire)
-	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
-	}
-	var fin func(res any) error
-	if c.rank != root {
-		fin = func(res any) error {
-			if _, err := dtype.Unpack(res.([]byte), buf, offset, count, d.t); err != nil {
-				return mapDataErr(err)
-			}
-			return nil
-		}
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
+	return c.initColl(c.planBcast(buf, offset, count, d, root))
 }
 
 // GatherInit builds a persistent gather (MPI_Gather_init): each
@@ -83,35 +60,8 @@ func (c *Intracomm) GatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*PersistentRequest, error) {
-	c.env.enterCall()
-	err := c.collChecks(sdt, root)
-	if err == nil && c.rank == root {
-		err = c.checkType(rdt)
-	}
-	if err != nil {
-		return c.skipInit(err)
-	}
-	var mine []byte
-	refresh := func() error {
-		w, err := c.packColl(sendbuf, soffset, scount, sdt)
-		if err != nil {
-			return err
-		}
-		mine = w
-		return nil
-	}
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	pcol, perr := c.cl.GatherInit(root, &mine)
-	if perr != nil {
-		return nil, c.raise(mapEngineErr(perr))
-	}
-	var fin func(res any) error
-	if c.rank == root {
-		fin = blocksFin(recvbuf, roffset, rcount, rdt)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
+	return c.initColl(c.planGather(sendbuf, soffset, scount, sdt, rdt, root, nil,
+		blocksFin(recvbuf, roffset, rcount, rdt)))
 }
 
 // AllgatherInit builds a persistent allgather (MPI_Allgather_init).
@@ -119,47 +69,8 @@ func (c *Intracomm) AllgatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*PersistentRequest, error) {
-	c.env.enterCall()
-	err := c.ok()
-	if err == nil {
-		err = c.checkType(sdt)
-	}
-	if err == nil {
-		err = c.checkType(rdt)
-	}
-	if err != nil {
-		return c.skipInit(err)
-	}
-	var mine []byte
-	refresh := func() error {
-		w, err := c.packColl(sendbuf, soffset, scount, sdt)
-		if err != nil {
-			return err
-		}
-		mine = w
-		return nil
-	}
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	return &PersistentRequest{
-		comm: &c.Comm, pcol: c.cl.AllgatherInit(&mine),
-		refresh: refresh, fin: blocksFin(recvbuf, roffset, rcount, rdt),
-	}, nil
-}
-
-// reduceRefresh builds the per-activation re-extract of a reduction
-// family send section. The first extraction also fixes the operand
-// class the cached schedule folds with.
-func (c *Intracomm) reduceRefresh(sendbuf any, soffset, count int, d *Datatype, dense *any) func() error {
-	return func() error {
-		dv, err := dtype.Extract(sendbuf, soffset, count, d.t)
-		if err != nil {
-			return mapDataErr(err)
-		}
-		*dense = dv
-		return nil
-	}
+	return c.initColl(c.planAllgather(sendbuf, soffset, scount, sdt, rdt, nil,
+		blocksFin(recvbuf, roffset, rcount, rdt)))
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -169,40 +80,7 @@ func (c *Intracomm) ReduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*PersistentRequest, error) {
-	c.env.enterCall()
-	err := c.collChecks(d, root)
-	if err == nil {
-		err = checkOp(op, d)
-	}
-	if err != nil {
-		return c.skipInit(err)
-	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	pcol, perr := c.cl.ReduceInit(root, &dense, op.op)
-	if perr != nil {
-		return nil, c.raise(mapEngineErr(perr))
-	}
-	var fin func(res any) error
-	if c.rank == root {
-		fin = depositFin(recvbuf, roffset, count, d)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
-}
-
-// checkReduceInit is the shared validation of the rootless reduction
-// family constructors.
-func (c *Intracomm) checkReduceInit(d *Datatype, op *Op) error {
-	if err := c.ok(); err != nil {
-		return err
-	}
-	if err := c.checkType(d); err != nil {
-		return err
-	}
-	return checkOp(op, d)
+	return c.initColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
 }
 
 // AllreduceInit builds a persistent all-reduction (MPI_Allreduce_init):
@@ -212,19 +90,7 @@ func (c *Intracomm) AllreduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	c.env.enterCall()
-	if err := c.checkReduceInit(d, op); err != nil {
-		return c.skipInit(err)
-	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	return &PersistentRequest{
-		comm: &c.Comm, pcol: c.cl.AllreduceInit(&dense, op.op),
-		refresh: refresh, fin: depositFin(recvbuf, roffset, count, d),
-	}, nil
+	return c.initColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // ScanInit builds a persistent inclusive prefix reduction
@@ -233,7 +99,7 @@ func (c *Intracomm) ScanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.scanInit(false, sendbuf, soffset, recvbuf, roffset, count, d, op)
+	return c.initColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // ExscanInit builds a persistent exclusive prefix reduction
@@ -243,35 +109,5 @@ func (c *Intracomm) ExscanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.scanInit(true, sendbuf, soffset, recvbuf, roffset, count, d, op)
-}
-
-func (c *Intracomm) scanInit(
-	exclusive bool,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) (*PersistentRequest, error) {
-	c.env.enterCall()
-	if err := c.checkReduceInit(d, op); err != nil {
-		return c.skipInit(err)
-	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	var pcol *coll.Persistent
-	if exclusive {
-		pcol = c.cl.ExscanInit(&dense, op.op)
-	} else {
-		pcol = c.cl.ScanInit(&dense, op.op)
-	}
-	deposit := depositFin(recvbuf, roffset, count, d)
-	fin := func(res any) error {
-		if res == nil {
-			return nil // Exscan at rank 0
-		}
-		return deposit(res)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
+	return c.initColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }

@@ -1,7 +1,11 @@
 package mpi_test
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,5 +324,278 @@ func TestProgressPoolGoroutineBound(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// persistentCase pairs one classic persistent collective with its
+// blocking sibling. Both are bound to the same send buffer; each writes
+// its own receive buffer.
+type persistentCase struct {
+	name  string
+	init  func(w *mpi.Intracomm, send, recv []float64, root int) (*mpi.PersistentRequest, error)
+	block func(w *mpi.Intracomm, send, recv []float64, root int) error
+}
+
+const pcount = 2 // elements each member contributes
+
+var persistentCases = []persistentCase{
+	{"Barrier",
+		func(w *mpi.Intracomm, _, _ []float64, _ int) (*mpi.PersistentRequest, error) { return w.BarrierInit() },
+		func(w *mpi.Intracomm, _, _ []float64, _ int) error { return w.Barrier() }},
+	// Bcast has one buffer: root's send section is the payload, every
+	// other member's receive section is overwritten.
+	{"Bcast",
+		func(w *mpi.Intracomm, send, recv []float64, root int) (*mpi.PersistentRequest, error) {
+			return w.BcastInit(bcastBuf(w, send, recv, root), 0, pcount, mpi.DOUBLE, root)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, root int) error {
+			return w.Bcast(bcastBuf(w, send, recv, root), 0, pcount, mpi.DOUBLE, root)
+		}},
+	{"Gather",
+		func(w *mpi.Intracomm, send, recv []float64, root int) (*mpi.PersistentRequest, error) {
+			return w.GatherInit(send, 0, pcount, mpi.DOUBLE, recv, 0, pcount, mpi.DOUBLE, root)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, root int) error {
+			return w.Gather(send, 0, pcount, mpi.DOUBLE, recv, 0, pcount, mpi.DOUBLE, root)
+		}},
+	{"Allgather",
+		func(w *mpi.Intracomm, send, recv []float64, _ int) (*mpi.PersistentRequest, error) {
+			return w.AllgatherInit(send, 0, pcount, mpi.DOUBLE, recv, 0, pcount, mpi.DOUBLE)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, _ int) error {
+			return w.Allgather(send, 0, pcount, mpi.DOUBLE, recv, 0, pcount, mpi.DOUBLE)
+		}},
+	{"Reduce",
+		func(w *mpi.Intracomm, send, recv []float64, root int) (*mpi.PersistentRequest, error) {
+			return w.ReduceInit(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.MAX, root)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, root int) error {
+			return w.Reduce(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.MAX, root)
+		}},
+	{"Allreduce",
+		func(w *mpi.Intracomm, send, recv []float64, _ int) (*mpi.PersistentRequest, error) {
+			return w.AllreduceInit(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, _ int) error {
+			return w.Allreduce(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		}},
+	{"Scan",
+		func(w *mpi.Intracomm, send, recv []float64, _ int) (*mpi.PersistentRequest, error) {
+			return w.ScanInit(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, _ int) error {
+			return w.Scan(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		}},
+	{"Exscan",
+		func(w *mpi.Intracomm, send, recv []float64, _ int) (*mpi.PersistentRequest, error) {
+			return w.ExscanInit(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		},
+		func(w *mpi.Intracomm, send, recv []float64, _ int) error {
+			return w.Exscan(send, 0, recv, 0, pcount, mpi.DOUBLE, mpi.SUM)
+		}},
+}
+
+// bcastBuf picks a broadcast's one buffer: the send section at root,
+// the receive section elsewhere.
+func bcastBuf(w *mpi.Intracomm, send, recv []float64, root int) []float64 {
+	if w.Rank() == root {
+		return send
+	}
+	return recv[:pcount]
+}
+
+// TestPersistentCollectivesMatchBlocking runs every classic persistent
+// collective against its blocking sibling: each activation re-reads the
+// rewritten send buffer, and its result must equal what the blocking
+// call computes from the same contents. The receive buffers start every
+// round filled with a sentinel, so a stale or missing deposit shows;
+// rank 0's Exscan buffer must keep it (its result is undefined). The
+// InitFailure subtests pin instance alignment after a failed *Init.
+func TestPersistentCollectivesMatchBlocking(t *testing.T) {
+	const rounds, sentinel = 4, -1.5
+	for _, np := range []int{3, 4} {
+		for _, tc := range persistentCases {
+			t.Run(fmt.Sprintf("%s/np%d", tc.name, np), func(t *testing.T) {
+				err := mpi.Run(np, func(env *mpi.Env) error {
+					w := env.CommWorld()
+					rank, root := w.Rank(), np-2
+					send := make([]float64, pcount)
+					precv := make([]float64, pcount*np)
+					brecv := make([]float64, pcount*np)
+					req, err := tc.init(w, send, precv, root)
+					if err != nil {
+						return err
+					}
+					defer req.Free()
+					for k := 0; k < rounds; k++ {
+						for i := range send {
+							send[i] = float64((rank*5+k*3+i)%7) + float64(k)/4
+						}
+						for i := range precv {
+							precv[i], brecv[i] = sentinel, sentinel
+						}
+						if err := req.Start(); err != nil {
+							return err
+						}
+						if _, err := req.Wait(); err != nil {
+							return err
+						}
+						if err := tc.block(w, send, brecv, root); err != nil {
+							return err
+						}
+						if !reflect.DeepEqual(precv, brecv) {
+							t.Errorf("rank %d round %d: persistent %v, blocking %v", rank, k, precv, brecv)
+						}
+						if tc.name == "Exscan" && rank == 0 && precv[0] != sentinel {
+							t.Errorf("round %d: Exscan wrote rank 0's buffer: %v", k, precv)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	t.Run("InitFailure", testInitFailureAlignment)
+}
+
+// testInitFailureAlignment: a reduction *Init that fails local
+// validation on one member only still consumes that member's collective
+// instance, so a following blocking Allreduce lines up on every member
+// and produces the serial answer. The members whose Init succeeded free
+// their request without starting it.
+func testInitFailureAlignment(t *testing.T) {
+	const np = 3
+	inits := map[string]func(w *mpi.Intracomm, send, recv []float64, op *mpi.Op) (*mpi.PersistentRequest, error){
+		"Reduce": func(w *mpi.Intracomm, send, recv []float64, op *mpi.Op) (*mpi.PersistentRequest, error) {
+			return w.ReduceInit(send, 0, recv, 0, 1, mpi.DOUBLE, op, 1)
+		},
+		"Allreduce": func(w *mpi.Intracomm, send, recv []float64, op *mpi.Op) (*mpi.PersistentRequest, error) {
+			return w.AllreduceInit(send, 0, recv, 0, 1, mpi.DOUBLE, op)
+		},
+		"Scan": func(w *mpi.Intracomm, send, recv []float64, op *mpi.Op) (*mpi.PersistentRequest, error) {
+			return w.ScanInit(send, 0, recv, 0, 1, mpi.DOUBLE, op)
+		},
+		"Exscan": func(w *mpi.Intracomm, send, recv []float64, op *mpi.Op) (*mpi.PersistentRequest, error) {
+			return w.ExscanInit(send, 0, recv, 0, 1, mpi.DOUBLE, op)
+		},
+	}
+	for name, init := range inits {
+		// A nil op and a pair-only op on a plain datatype both fail
+		// checkOp on the one member that passes them.
+		for bname, bad := range map[string]*mpi.Op{"nil": nil, "MAXLOC": mpi.MAXLOC} {
+			t.Run(name+"/"+bname, func(t *testing.T) {
+				err := mpi.Run(np, func(env *mpi.Env) error {
+					w := env.CommWorld()
+					rank := w.Rank()
+					send := []float64{float64(rank + 1)}
+					recv := []float64{0}
+					op := mpi.SUM
+					if rank == np-1 {
+						op = bad
+					}
+					req, err := init(w, send, recv, op)
+					if rank == np-1 {
+						if mpi.ClassOf(err) != mpi.ErrOp {
+							t.Errorf("rank %d: Init with bad op: %v, want ErrOp", rank, err)
+						}
+					} else if err != nil {
+						return err
+					} else if err := req.Free(); err != nil {
+						return err
+					}
+					// A misaligned instance would stall the Allreduce;
+					// the deadline turns that into a failure.
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					sum := []float64{0}
+					if err := w.AllreduceCtx(ctx, send, 0, sum, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil {
+						return err
+					}
+					if want := float64(np * (np + 1) / 2); sum[0] != want {
+						t.Errorf("rank %d: Allreduce after failed Init = %v, want %v", rank, sum[0], want)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestPersistentAllreduceAllocBudget bounds the process-wide
+// allocations of a steady stream of persistent one-element MAX
+// allreduce activations on 2 ranks: the persistent twin of coll's
+// TestBlockingAllreduceAllocBudget, with its headroom (about a quarter
+// over the measured count, about 40% under the race detector). An
+// activation re-packs the send buffer and re-runs the schedule compiled
+// at Init; the count covers both ranks and every layer an activation
+// touches (the request, the re-extracted operand, engine requests,
+// payloads).
+func TestPersistentAllreduceAllocBudget(t *testing.T) {
+	const n, warm, calls = 2, 50, 400
+	var warmed, done sync.WaitGroup
+	start := make(chan struct{})
+	warmed.Add(n)
+	done.Add(n)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- mpi.Run(n, func(env *mpi.Env) error {
+			w := env.CommWorld()
+			v := []float64{float64(w.Rank())}
+			res := []float64{0}
+			red, err := w.AllreduceInit(v, 0, res, 0, 1, mpi.DOUBLE, mpi.MAX)
+			if err != nil {
+				warmed.Done()
+				done.Done()
+				return err
+			}
+			defer red.Free()
+			loop := func(k int) error {
+				for i := 0; i < k; i++ {
+					if err := red.Start(); err != nil {
+						return err
+					}
+					if _, err := red.Wait(); err != nil {
+						return err
+					}
+					if res[0] != n-1 {
+						t.Errorf("rank %d: allreduce = %v, want %d", w.Rank(), res[0], n-1)
+					}
+				}
+				return nil
+			}
+			err = loop(warm)
+			warmed.Done()
+			if err == nil {
+				<-start
+				err = loop(calls)
+			}
+			done.Done()
+			return err
+		})
+	}()
+	warmed.Wait()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(start)
+	done.Wait()
+	runtime.ReadMemStats(&after)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	perCall := float64(after.Mallocs-before.Mallocs) / calls
+	// Measured: 31.0 on a normal build, about 32.2 under -race.
+	budget := 38.0
+	if raceEnabled {
+		budget = 44
+	}
+	t.Logf("persistent Allreduce: %.1f allocs per activation (both ranks)", perCall)
+	if perCall > budget {
+		t.Fatalf("persistent Allreduce allocates %.1f per activation (both ranks), want <= %.0f", perCall, budget)
 	}
 }

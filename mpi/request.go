@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 
-	"gompi/internal/coll"
 	"gompi/internal/core"
 	"gompi/internal/dtype"
 	"gompi/internal/transport"
@@ -355,41 +354,32 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 
 // PersistentRequest is a persistent operation (MPI_Send_init,
 // MPI_Recv_init and — MPI-4 — the persistent collectives,
-// MPI_Bcast_init and friends): a frozen, validated argument list that
-// Start activates repeatedly. Point-to-point persistents freeze a send
-// or receive envelope; collective persistents hold a cached re-runnable
-// schedule with pre-minted tags in the runtime, so an activation pays
-// no validation, planning or tag-allocation cost. Both kinds share this
-// one type, so StartAll and the AnyRequest helpers work over mixed
-// sets.
+// MPI_Bcast_init and friends): a validated operation that Start
+// activates repeatedly. Each kind supplies one start function that
+// begins an activation and returns its request: a point-to-point
+// persistent issues its frozen send or receive, a collective one
+// re-packs its plan's record and re-runs the schedule compiled at Init
+// (pre-minted tags, so an activation pays no validation, planning or
+// tag-allocation cost). Both kinds share this one type, so StartAll and
+// the AnyRequest helpers work over mixed sets.
 //
 // The buffer contract is MPI's: the operation re-reads (and for
 // receives, re-fills) the buffers bound at *Init time on every
 // activation. A previous activation must have completed — locally, via
 // Wait/Test on this request — before the next Start.
 type PersistentRequest struct {
-	comm *Comm
+	comm   *Comm
+	start  func() (AnyRequest, error)
+	active AnyRequest // the current activation; nil before the first Start
+}
 
-	// Point-to-point arm: the frozen envelope.
-	isRecv   bool
-	recvInto bool // zero-copy receive (RecvIntoInit)
-	mode     core.Mode
-	buffed   bool // buffered mode
-	buf      any
-	offset   int
-	count    int
-	dt       *Datatype
-	rank     int // dest or source
-	tag      int
-
-	// Collective arm: the cached schedule plus the per-activation
-	// re-pack of the user buffers and the completion deposit.
-	pcol    *coll.Persistent
-	refresh func() error
-	fin     func(res any) error
-
-	active     *Request     // current point-to-point activation
-	activeColl *CollRequest // current collective activation
+// persistent builds a persistent request over start once the *Init
+// constructor's checks (err) have passed.
+func (c *Comm) persistent(err error, start func() (AnyRequest, error)) (*PersistentRequest, error) {
+	if err != nil {
+		return nil, c.raise(err)
+	}
+	return &PersistentRequest{comm: c, start: start}, nil
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -403,25 +393,12 @@ func (p *PersistentRequest) Start() error {
 	if p.comm.Revoked() {
 		return p.comm.raise(errf(ErrRevoked, "Start on revoked communicator %q", p.comm.name))
 	}
-	if p.pcol != nil {
-		return p.startColl()
-	}
 	if p.active != nil {
 		if _, done, _ := p.active.Test(); !done {
 			return errf(ErrRequest, "Start on a still-active persistent request")
 		}
 	}
-	var req *Request
-	var err error
-	if p.isRecv && p.recvInto {
-		req, err = p.comm.IrecvInto(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else if p.isRecv {
-		req, err = p.comm.Irecv(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else if p.buffed {
-		req, err = p.comm.Ibsend(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else {
-		req, err = p.comm.isendMode(p.buf, p.offset, p.count, p.dt, p.rank, p.tag, p.mode)
-	}
+	req, err := p.start()
 	if err != nil {
 		return err
 	}
@@ -429,37 +406,9 @@ func (p *PersistentRequest) Start() error {
 	return nil
 }
 
-// startColl activates the collective arm: re-pack the user buffers into
-// the schedule's bound inputs, then hand the cached schedule to the
-// shared progress pool.
-func (p *PersistentRequest) startColl() error {
-	if p.activeColl != nil {
-		if _, done, _ := p.activeColl.Test(); !done {
-			return errf(ErrRequest, "Start on a still-active persistent request")
-		}
-	}
-	if p.refresh != nil {
-		if err := p.refresh(); err != nil {
-			return p.comm.raise(err)
-		}
-	}
-	creq, err := p.pcol.Start()
-	if err != nil {
-		if errors.Is(err, coll.ErrActive) {
-			return errf(ErrRequest, "Start on a still-active persistent request")
-		}
-		return p.comm.raise(mapEngineErr(err))
-	}
-	p.activeColl = newCollRequest(p.comm, creq, p.fin)
-	return nil
-}
-
 // Wait waits for the current activation (MPI_Wait on a started
 // persistent request).
 func (p *PersistentRequest) Wait() (*Status, error) {
-	if p.activeColl != nil {
-		return p.activeColl.Wait()
-	}
 	if p.active == nil {
 		return nullStatus(), nil
 	}
@@ -468,11 +417,8 @@ func (p *PersistentRequest) Wait() (*Status, error) {
 
 // WaitCtx waits for the current activation under a context; see
 // Request.WaitCtx and CollRequest.WaitCtx for the cancellation
-// contracts of the two arms.
+// contracts of the two kinds.
 func (p *PersistentRequest) WaitCtx(ctx context.Context) (*Status, error) {
-	if p.activeColl != nil {
-		return p.activeColl.WaitCtx(ctx)
-	}
 	if p.active == nil {
 		return nullStatus(), nil
 	}
@@ -481,26 +427,17 @@ func (p *PersistentRequest) WaitCtx(ctx context.Context) (*Status, error) {
 
 // Test polls the current activation.
 func (p *PersistentRequest) Test() (*Status, bool, error) {
-	if p.activeColl != nil {
-		return p.activeColl.Test()
-	}
 	if p.active == nil {
 		return nullStatus(), true, nil
 	}
 	return p.active.Test()
 }
 
-// Free releases the persistent request (MPI_Request_free). A collective
-// persistent's cached schedule is retired; the current activation, if
-// any, completes in the background.
+// Free releases the persistent request (MPI_Request_free); further
+// Starts fail. The current activation, if any, completes in the
+// background.
 func (p *PersistentRequest) Free() error {
-	if p.pcol != nil {
-		p.pcol.Free()
-	}
-	p.active = nil
-	p.activeColl = nil
-	p.pcol = nil
-	p.comm = nil
+	p.comm, p.start, p.active = nil, nil, nil
 	return nil
 }
 
@@ -521,10 +458,11 @@ func StartAll(ps []*PersistentRequest) error {
 // ULFM recovery path; anything else on these paths is an internal
 // error.
 func mapEngineErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var lost *transport.PeerLostError
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &lost):
 		return errf(ErrProcFailed, "%v", err)
 	case errors.Is(err, core.ErrCommRevoked):
@@ -537,10 +475,11 @@ func mapEngineErr(err error) error {
 // mapDataErr converts datatype- and core-layer errors into MPI error
 // classes.
 func mapDataErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var lost *transport.PeerLostError
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &lost):
 		return errf(ErrProcFailed, "%v", err)
 	case errors.Is(err, core.ErrCommRevoked):
